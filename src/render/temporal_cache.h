@@ -138,7 +138,6 @@ class TemporalCache
         counters_ = TemporalCounters{};
         soa_ = SplatSoA{};
         ids_.clear();
-        depths_.clear();
         cov_offsets_.clear();
         cov_tiles_.clear();
         tile_entries_.clear();
@@ -168,7 +167,6 @@ class TemporalCache
     // ---- Tier 1: persisted binning state (previous exact frame). ----
     SplatSoA soa_;                            ///< previous SoA store
     std::vector<std::uint32_t> ids_;          ///< per-si source splat ids
-    std::vector<float> depths_;               ///< per-si view depth
     std::vector<std::uint32_t> cov_offsets_;  ///< per-splat coverage CSR
     std::vector<std::uint32_t> cov_tiles_;    ///< emitted tiles, ascending
     /** Per-tile packed (key, si) lists, ascending uint64 == cold order. */

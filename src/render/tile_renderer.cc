@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <limits>
 
 #include "gsmath/simd.h"
 #include "gsmath/sort_keys.h"
@@ -67,14 +66,12 @@ class TemporalCounterMirror
  * Dispatch grain of the per-tile rasterization fan-out: a chunk must
  * cover at least this many pixels of tiles, or pool dispatch costs
  * more than the chunk's work and the frame runs inline on the caller
- * (the parallel_for grain heuristic; small frames previously fanned
- * out one-tile chunks whose submit/future overhead showed up as the
- * flat-to-negative thread scaling in BENCH_frame.json).
+ * (the parallel_for grain heuristic).
  */
 constexpr std::size_t kMinPixelsPerRasterChunk = 4096;
 
 /**
- * Bitonic-sorter pass accounting shared by both render paths: a
+ * Bitonic-sorter pass accounting shared by every sort site: a
  * 16-wide bitonic merge sort sorts chunks of 16 in one pass and
  * merges ceil(n/16) chunks in log2 more passes.
  */
@@ -91,22 +88,21 @@ bitonicPassKeys(std::size_t list_len)
 /** Sub-tile granularity of the VRU array-pass accounting. */
 constexpr int kSub = 8;
 
-/** Reusable per-worker buffers of the tile raster kernel. */
+/** Reusable per-worker buffers of the tile sort and raster kernel. */
 struct TileScratch
 {
+    std::vector<std::uint64_t> sort; ///< radix-sort ping-pong buffer
     std::vector<float> tile_t;   ///< per-pixel transmittance
     std::vector<int> sub_live;   ///< live-pixel counts per 8x8 subtile
     std::vector<int> row_live;   ///< live-pixel counts per tile row
 };
 
 /**
- * Rasterize one tile from its depth-sorted entry list — the shared
- * kernel of render() and renderTemporal(), so a dirty tile re-blended
- * by the temporal path is bit-identical to the cold render of the
- * same list.  The tile's pixels in @p image must be zero on entry
- * (cold frames start from a zeroed image; the temporal path clears a
- * dirty tile's block before calling).  Writes stay inside the tile's
- * pixel region, so disjoint tiles rasterize concurrently.
+ * Rasterize one tile from its depth-sorted entry list: the kernel
+ * under rasterTiles, so a dirty tile the temporal path re-blends is
+ * bit-identical to the cold render of the same list.  The tile's
+ * pixels in @p image must be zero on entry; writes stay inside them,
+ * so disjoint tiles rasterize concurrently.
  *
  * When @p depth_out is non-null (with @p splat_depth supplying the
  * per-slot view depths), the kernel also records a per-pixel surface
@@ -123,8 +119,7 @@ rasterOneTile(const TileRendererConfig &config, const SplatSoA &soa,
               int bx, int by, int width, int height, Image &image,
               StandardFlowStats &st, std::uint64_t *contributed,
               std::uint64_t *fetched, TileScratch &scratch,
-              const float *splat_depth = nullptr,
-              float *depth_out = nullptr)
+              const float *splat_depth, float *depth_out)
 {
     const int tile = config.tile_size;
     const int sub_n = (tile + kSub - 1) / kSub;
@@ -196,25 +191,14 @@ rasterOneTile(const TileRendererConfig &config, const SplatSoA &soa,
         const simd::FloatV cxv(b.cx);
         const simd::FloatV q_skip_v(b.q_skip);
         const simd::FloatV half_v(0.5f);
-        // (An earlier revision solved a per-row quadratic interval
-        // in double to trim dead row tails; with rows clipped to the
-        // tile and evaluated kWidth lanes per step under the q_skip
-        // mask, the sqrt-per-row solve cost more than the tails it
-        // saved — the mask makes the same pass/fail decisions
-        // bit-identically.)
         for (int y = ry0; y <= ry1; ++y) {
             if (row_live[y - y0] == 0)
                 continue;  // every pixel in the row terminated
-            const float py = static_cast<float>(y) + 0.5f;
-            const int row_x0 = rx0;
-            const int row_x1 = rx1;
-            const float dy_row = py - b.cy;
-            const simd::FloatV dyv(dy_row);
+            const simd::FloatV dyv(static_cast<float>(y) + 0.5f - b.cy);
             float *trow =
                 tile_t.data() + static_cast<std::size_t>(y - y0) * tile;
-            for (int x = row_x0; x <= row_x1; x += simd::kWidth) {
-                const int nlane =
-                    std::min<int>(simd::kWidth, row_x1 - x + 1);
+            for (int x = rx0; x <= rx1; x += simd::kWidth) {
+                const int nlane = std::min<int>(simd::kWidth, rx1 - x + 1);
                 simd::FloatV dx =
                     (simd::FloatV::iotaFrom(x) + half_v) - cxv;
                 simd::FloatV q = dx * (c00v * dx + c01v * dyv) +
@@ -345,182 +329,152 @@ warpFromExact(const Camera &src_cam, const Image &src,
     return out;
 }
 
-} // namespace
-
-std::vector<int>
-TileRenderer::tilesPerSplat(const std::vector<Splat> &splats,
-                            const Camera &cam) const
+/** Per-splat tile coverage in CSR form (row si = splat si). */
+struct Coverage
 {
-    std::vector<int> counts;
-    counts.reserve(splats.size());
-    for (const Splat &s : splats) {
-        TileRange r = tileRangeFor(s, config_.bounding, config_.tile_size,
-                                   cam.width(), cam.height());
-        if (config_.bounding == BoundingMode::Obb3Sigma && !r.empty()) {
-            ObbParams o = obbParamsFor(s);
-            int n = 0;
-            for (int by = r.by0; by <= r.by1; ++by) {
-                for (int bx = r.bx0; bx <= r.bx1; ++bx) {
-                    float tx0 = static_cast<float>(bx * config_.tile_size);
-                    float ty0 = static_cast<float>(by * config_.tile_size);
-                    if (obbOverlapsTile(o, tx0, ty0,
-                                        tx0 + config_.tile_size,
-                                        ty0 + config_.tile_size))
-                        ++n;
-                }
-            }
-            counts.push_back(n);
-        } else {
-            counts.push_back(r.count());
-        }
-    }
-    return counts;
-}
+    std::vector<std::uint32_t> offsets;  ///< n + 1 row starts
+    std::vector<std::uint32_t> tiles;    ///< tile indices, ascending
+};
 
-Image
-TileRenderer::render(const GaussianCloud &cloud, const Camera &cam,
-                     StandardFlowStats &stats, ThreadPool *pool) const
+/**
+ * The coverage walk: every tile of each splat's binning range, minus
+ * the corner tiles the oriented-box test rejects in Obb3Sigma mode.
+ */
+Coverage
+coverTiles(const SplatSoA &soa, int tile, int tiles_x)
 {
-    const int width = cam.width();
-    const int height = cam.height();
-    const int tile = config_.tile_size;
-    const int tiles_x = (width + tile - 1) / tile;
-    const int tiles_y = (height + tile - 1) / tile;
-    const std::size_t num_tiles =
-        static_cast<std::size_t>(tiles_x) * tiles_y;
-
-    // ---- Stage 1: preprocess every Gaussian (decoupled). ----
-    obs::StageTimer stage_timer;
-    std::vector<Splat> splats = preprocessAll(cloud, cam, stats.pre, pool);
-    SplatSoA soa = SplatSoA::build(splats, config_.bounding, tile,
-                                   config_.alpha_cutoff, width, height);
-    const std::size_t n = soa.size();
-    stage_timer.lap(obs::Stage::Preprocess, &stats.stage.preprocess_ms);
-
-    // ---- Tile binning: CSR built in two passes over a flat pair
-    // list.  Pass 1 walks each splat's coverage exactly once (the
-    // OBB refinement test is not repeated) and emits (tile, packed
-    // key-value) pairs in splat order while counting per-tile
-    // populations; pass 2 scatters the pairs into one contiguous
-    // entries array at per-tile offsets.  The scatter preserves the
-    // splat-order tie-break within every tile. ----
-    std::vector<std::uint32_t> pair_tile;
-    std::vector<std::uint64_t> pair_kv;
-    std::vector<std::size_t> offsets(num_tiles + 1, 0);
-    for (std::size_t si = 0; si < n; ++si) {
+    Coverage cov;
+    cov.offsets.assign(soa.size() + 1, 0);
+    for (std::size_t si = 0; si < soa.size(); ++si) {
         const TileRange &r = soa.range[si];
-        const std::uint64_t kv = packKeyValue(
-            soa.depth_key[si], static_cast<std::uint32_t>(si));
         for (int by = r.by0; by <= r.by1; ++by) {
             for (int bx = r.bx0; bx <= r.bx1; ++bx) {
-                if (soa.obb_refine) {
-                    float tx0 = static_cast<float>(bx * tile);
-                    float ty0 = static_cast<float>(by * tile);
-                    if (!obbOverlapsTile(soa.obb[si], tx0, ty0,
-                                         tx0 + tile, ty0 + tile))
-                        continue;
-                }
-                const std::uint32_t t_idx =
-                    static_cast<std::uint32_t>(by) * tiles_x + bx;
-                pair_tile.push_back(t_idx);
-                pair_kv.push_back(kv);
-                ++offsets[t_idx + 1];
+                const float tx0 = static_cast<float>(bx * tile);
+                const float ty0 = static_cast<float>(by * tile);
+                if (soa.obb_refine &&
+                    !obbOverlapsTile(soa.obb[si], tx0, ty0, tx0 + tile,
+                                     ty0 + tile))
+                    continue;
+                cov.tiles.push_back(
+                    static_cast<std::uint32_t>(by) * tiles_x + bx);
             }
         }
+        cov.offsets[si + 1] = static_cast<std::uint32_t>(cov.tiles.size());
     }
-    for (std::size_t t = 0; t < num_tiles; ++t)
-        offsets[t + 1] += offsets[t];
-    const std::size_t kv_total = offsets[num_tiles];
-    stats.kv_pairs += static_cast<std::int64_t>(kv_total);
+    return cov;
+}
 
-    std::vector<std::uint64_t> entries(kv_total);
-    {
-        std::vector<std::size_t> cursor(offsets.begin(),
-                                        offsets.end() - 1);
-        for (std::size_t i = 0; i < kv_total; ++i)
-            entries[cursor[pair_tile[i]]++] = pair_kv[i];
-        pair_tile.clear();
-        pair_tile.shrink_to_fit();
-        pair_kv.clear();
-        pair_kv.shrink_to_fit();
+/** A tile queued for rasterization, with its packed entry list. */
+struct TileList
+{
+    std::uint32_t tile;      ///< scanline tile index
+    std::uint64_t *entries;  ///< packed (depth key, slot) words
+    std::size_t len;
+};
+
+/**
+ * The CSR bin: count tile populations, prefix-sum them into slice
+ * starts, and scatter each splat's packed (depth key, slot) word into
+ * @p entries in splat order, the tie-break the stable radix sort
+ * keeps.  Returns the non-empty slices in scanline order.
+ */
+std::vector<TileList>
+binTiles(const SplatSoA &soa, const Coverage &cov, std::size_t num_tiles,
+         std::vector<std::uint64_t> &entries)
+{
+    std::vector<std::size_t> cursor(num_tiles, 0);
+    for (std::uint32_t t : cov.tiles)
+        ++cursor[t];
+    entries.resize(cov.tiles.size());
+    std::vector<TileList> lists;
+    std::size_t begin = 0;
+    for (std::size_t t = 0; t < num_tiles; ++t) {
+        const std::size_t len = cursor[t];
+        if (len != 0)
+            lists.push_back({static_cast<std::uint32_t>(t),
+                             entries.data() + begin, len});
+        cursor[t] = begin;
+        begin += len;
     }
-    stage_timer.lap(obs::Stage::Binning, &stats.stage.binning_ms);
+    for (std::size_t si = 0; si < soa.size(); ++si) {
+        const std::uint64_t kv = packKeyValue(
+            soa.depth_key[si], static_cast<std::uint32_t>(si));
+        for (std::uint32_t c = cov.offsets[si]; c != cov.offsets[si + 1]; ++c)
+            entries[cursor[cov.tiles[c]]++] = kv;
+    }
+    return lists;
+}
 
-    // ---- Stage 2: render tile by tile in scanline order.  Tiles own
-    // disjoint pixel regions and disjoint CSR slices, so contiguous
-    // chunks of the tile sequence fan out over the pool; per-chunk
-    // counters merge in chunk order and the unique-splat populations
-    // (fetched / rendered) come from OR-merged per-chunk maps, making
-    // image and stats bit-identical to the serial sweep. ----
-    Image image(width, height);
-
-    // Unique-splat membership is tracked per chunk in word bitmaps
-    // (n/8 bytes instead of n), so per-chunk memory and the OR-merge
-    // stay cheap even for paper-scale splat counts at high worker
-    // counts.
-    const std::size_t map_words = (n + 63) / 64;
-    struct TileChunkOut
+/**
+ * The raster fan-out.  @p fresh lists are unsorted bins of a zeroed
+ * image: each is radix-sorted in place first (stable LSD radix on
+ * monotone keys reproduces stable_sort's order).  Otherwise the lists
+ * are sorted and each tile of the retained image (and @p depth_out)
+ * is cleared first.  Chunks of @p lists fan out over the pool; stats
+ * merge in chunk order, and the unique-splat populations come from
+ * the OR of per-chunk bitmaps, so image and stats are bit-identical
+ * at any worker count.
+ */
+void
+rasterTiles(const TileRendererConfig &config, const SplatSoA &soa,
+            const std::vector<TileList> &lists, bool fresh, Image &image,
+            ThreadPool *pool, StandardFlowStats &stats,
+            const float *splat_depth = nullptr, float *depth_out = nullptr)
+{
+    const int tile = config.tile_size;
+    const int width = image.width();
+    const int tiles_x = (width + tile - 1) / tile;
+    const std::size_t map_words = (soa.size() + 63) / 64;
+    struct ChunkOut
     {
-        StandardFlowStats stats;  ///< stage-2 counters only
-        std::vector<std::uint64_t> contributed;
+        StandardFlowStats stats;  ///< sort and raster counters only
+        std::vector<std::uint64_t> contributed;  ///< splat bitmaps
         std::vector<std::uint64_t> fetched;
     };
 
-    // More chunks than workers smooths the load imbalance between
-    // crowded and empty tiles; chunk boundaries stay deterministic.
-    // The pixel-derived grain keeps every chunk heavy enough to
-    // amortize dispatch — a frame smaller than two grains runs
-    // inline on the caller thread.
+    // More chunks than workers smooths the imbalance between crowded
+    // and sparse tiles; the pixel-derived grain keeps every chunk
+    // heavy enough to amortize dispatch.
     const bool fan_out = pool != nullptr && pool->workerCount() >= 2;
-    const std::size_t grain_tiles = std::max<std::size_t>(
-        1, kMinPixelsPerRasterChunk /
-               (static_cast<std::size_t>(tile) * tile));
-    auto tile_ranges = chunkRanges(
-        num_tiles, fan_out ? pool->workerCount() * 4 : 1, grain_tiles);
-    std::vector<TileChunkOut> chunk_out(tile_ranges.size());
-
-    auto render_tiles = [&](std::size_t c, std::size_t t_begin,
-                            std::size_t t_end) {
-        TileChunkOut &out = chunk_out[c];
+    const std::size_t grain = std::max<std::size_t>(
+        1, kMinPixelsPerRasterChunk / (static_cast<std::size_t>(tile) * tile));
+    auto ranges = chunkRanges(
+        lists.size(), fan_out ? pool->workerCount() * 4 : 1, grain);
+    std::vector<ChunkOut> chunk_out(ranges.size());
+    runChunks(fan_out ? pool : nullptr, ranges,
+              [&](std::size_t c, std::size_t begin, std::size_t end) {
+        ChunkOut &out = chunk_out[c];
         out.contributed.assign(map_words, 0);
         out.fetched.assign(map_words, 0);
-        StandardFlowStats &st = out.stats;
-        std::vector<std::uint64_t> sort_scratch;
         TileScratch scratch;
-
-        for (std::size_t t_idx = t_begin; t_idx < t_end; ++t_idx) {
-            const int bx = static_cast<int>(t_idx % tiles_x);
-            const int by = static_cast<int>(t_idx / tiles_x);
-            const std::size_t begin = offsets[t_idx];
-            const std::size_t end = offsets[t_idx + 1];
-            if (begin == end)
-                continue;
-            const std::size_t list_len = end - begin;
-
-            // Per-tile depth sort (radix sort on the GPU, bitonic
-            // network in GSCore): stable LSD radix on the monotone
-            // depth keys reproduces stable_sort's order exactly.
-            radixSortByKey(entries.data() + begin, list_len,
-                           sort_scratch);
-            st.sorted_keys += static_cast<std::int64_t>(list_len);
-            st.sort_pass_keys += bitonicPassKeys(list_len);
-
-            rasterOneTile(config_, soa, entries.data() + begin,
-                          list_len, bx, by, width, height, image, st,
+        for (std::size_t i = begin; i < end; ++i) {
+            const TileList &l = lists[i];
+            const int bx = static_cast<int>(l.tile % tiles_x);
+            const int by = static_cast<int>(l.tile / tiles_x);
+            if (fresh) {
+                radixSortByKey(l.entries, l.len, scratch.sort);
+                out.stats.sorted_keys += static_cast<std::int64_t>(l.len);
+                out.stats.sort_pass_keys += bitonicPassKeys(l.len);
+            } else {
+                const int x0 = bx * tile;
+                const int w = std::min(tile, width - x0);
+                const int y1 = std::min((by + 1) * tile, image.height());
+                for (int y = by * tile; y < y1; ++y) {
+                    std::fill_n(&image.at(x0, y), w, Vec3(0, 0, 0));
+                    if (depth_out != nullptr)
+                        std::fill_n(depth_out + y * width + x0, w, 0.0f);
+                }
+            }
+            rasterOneTile(config, soa, l.entries, l.len, bx, by, width,
+                          image.height(), image, out.stats,
                           out.contributed.data(), out.fetched.data(),
-                          scratch);
+                          scratch, splat_depth, depth_out);
         }
-    };
+    });
 
-    runChunks(fan_out ? pool : nullptr, tile_ranges, render_tiles);
-
-    // Chunk-ordered merge; fetched/rendered are unique populations
-    // over the whole frame, so they are counted from the OR of the
-    // per-chunk maps (a splat fetched by tiles in two chunks is still
-    // one fetched Gaussian, exactly as the serial first-touch count).
     std::vector<std::uint64_t> contributed_any(map_words, 0);
     std::vector<std::uint64_t> fetched_any(map_words, 0);
-    for (const TileChunkOut &out : chunk_out) {
+    for (const ChunkOut &out : chunk_out) {
         stats.tile_fetches += out.stats.tile_fetches;
         stats.sorted_keys += out.stats.sorted_keys;
         stats.sort_pass_keys += out.stats.sort_pass_keys;
@@ -537,6 +491,53 @@ TileRenderer::render(const GaussianCloud &cloud, const Camera &cam,
         stats.fetched_gaussians += std::popcount(fetched_any[w]);
         stats.rendered_gaussians += std::popcount(contributed_any[w]);
     }
+}
+
+} // namespace
+
+std::vector<int>
+TileRenderer::tilesPerSplat(const std::vector<Splat> &splats,
+                            const Camera &cam) const
+{
+    const int tile = config_.tile_size;
+    const Coverage cov = coverTiles(
+        SplatSoA::build(splats, config_.bounding, tile,
+                        config_.alpha_cutoff, cam.width(), cam.height()),
+        tile, (cam.width() + tile - 1) / tile);
+    std::vector<int> counts(splats.size());
+    for (std::size_t si = 0; si < counts.size(); ++si)
+        counts[si] = static_cast<int>(cov.offsets[si + 1] - cov.offsets[si]);
+    return counts;
+}
+
+Image
+TileRenderer::render(const GaussianCloud &cloud, const Camera &cam,
+                     StandardFlowStats &stats, ThreadPool *pool) const
+{
+    const int width = cam.width();
+    const int height = cam.height();
+    const int tile = config_.tile_size;
+    const int tiles_x = (width + tile - 1) / tile;
+    const int tiles_y = (height + tile - 1) / tile;
+
+    // ---- Stage 1: preprocess every Gaussian (decoupled). ----
+    obs::StageTimer stage_timer;
+    std::vector<Splat> splats = preprocessAll(cloud, cam, stats.pre, pool);
+    SplatSoA soa = SplatSoA::build(splats, config_.bounding, tile,
+                                   config_.alpha_cutoff, width, height);
+    stage_timer.lap(obs::Stage::Preprocess, &stats.stage.preprocess_ms);
+
+    // ---- Tile binning into one flat CSR key-value array. ----
+    std::vector<std::uint64_t> entries;
+    const std::vector<TileList> lists =
+        binTiles(soa, coverTiles(soa, tile, tiles_x),
+                 static_cast<std::size_t>(tiles_x) * tiles_y, entries);
+    stats.kv_pairs += static_cast<std::int64_t>(entries.size());
+    stage_timer.lap(obs::Stage::Binning, &stats.stage.binning_ms);
+
+    // ---- Stage 2: per-tile depth sort and raster. ----
+    Image image(width, height);
+    rasterTiles(config_, soa, lists, /*fresh=*/true, image, pool, stats);
     stage_timer.lap(obs::Stage::Raster, &stats.stage.raster_ms);
     return image;
 }
@@ -636,34 +637,13 @@ TileRenderer::renderTemporal(const GaussianCloud &cloud,
     }
     stage_timer.lap(obs::Stage::Preprocess, &stats.stage.preprocess_ms);
 
-    // ---- Per-splat coverage lists (the CSR row inputs): the same
-    // walk render()'s pair emission does, kept per splat so next
-    // frame can diff row by row. ----
-    std::vector<std::uint32_t> cov_offsets(n + 1, 0);
-    std::vector<std::uint32_t> cov_tiles;
-    cov_tiles.reserve(cache.cov_tiles_.size());
-    for (std::size_t si = 0; si < n; ++si) {
-        const TileRange &r = soa.range[si];
-        for (int by = r.by0; by <= r.by1; ++by) {
-            for (int bx = r.bx0; bx <= r.bx1; ++bx) {
-                if (soa.obb_refine) {
-                    float tx0 = static_cast<float>(bx * tile);
-                    float ty0 = static_cast<float>(by * tile);
-                    if (!obbOverlapsTile(soa.obb[si], tx0, ty0,
-                                         tx0 + tile, ty0 + tile))
-                        continue;
-                }
-                cov_tiles.push_back(
-                    static_cast<std::uint32_t>(by) * tiles_x + bx);
-            }
-        }
-        cov_offsets[si + 1] =
-            static_cast<std::uint32_t>(cov_tiles.size());
-    }
-    stats.kv_pairs += static_cast<std::int64_t>(cov_tiles.size());
+    // ---- Per-splat coverage, kept so next frame can diff it. ----
+    Coverage cov = coverTiles(soa, tile, tiles_x);
+    stats.kv_pairs += static_cast<std::int64_t>(cov.tiles.size());
 
     ++tc.exact_frames;
-    std::vector<std::uint32_t> dirty_tiles;
+    std::vector<std::uint64_t> entries;  // full-rebuild bins
+    std::vector<TileList> lists;         // tiles to rasterize
 
     // Warp mode additionally maintains the per-pixel depth buffer the
     // reprojection samples; clean tiles keep last frame's depths, so
@@ -678,29 +658,11 @@ TileRenderer::renderTemporal(const GaussianCloud &cloud,
     const bool incremental = cache.valid_ && cache.ids_ == ids &&
                              (!want_depth || cache.depth_valid_);
     if (!incremental) {
-        // ---- Cold path: rebuild every per-tile list. ----
+        // ---- Full rebuild: render()'s CSR bin; every non-empty tile
+        // sorts and rasterizes below. ----
         ++tc.full_rebuilds;
+        lists = binTiles(soa, cov, num_tiles, entries);
         cache.tile_entries_.assign(num_tiles, {});
-        for (std::size_t si = 0; si < n; ++si) {
-            const std::uint64_t kv = packKeyValue(
-                soa.depth_key[si], static_cast<std::uint32_t>(si));
-            for (std::uint32_t c = cov_offsets[si];
-                 c < cov_offsets[si + 1]; ++c)
-                cache.tile_entries_[cov_tiles[c]].push_back(kv);
-        }
-        // Ascending packed (key, si) order is exactly the stable
-        // radix order the cold renderer produces (monotone key in
-        // the high half, unique ascending-emitted si in the low
-        // half), so plain sort reproduces it bit for bit.
-        for (std::size_t t = 0; t < num_tiles; ++t) {
-            auto &v = cache.tile_entries_[t];
-            if (v.empty())
-                continue;
-            std::sort(v.begin(), v.end());
-            stats.sorted_keys += static_cast<std::int64_t>(v.size());
-            stats.sort_pass_keys += bitonicPassKeys(v.size());
-            dirty_tiles.push_back(static_cast<std::uint32_t>(t));
-        }
         cache.image_ = Image(width, height);
         if (want_depth)
             cache.depth_.assign(
@@ -726,9 +688,9 @@ TileRenderer::renderTemporal(const GaussianCloud &cloud,
                 cache.cov_tiles_.data() + cache.cov_offsets_[si];
             const std::uint32_t *oe =
                 cache.cov_tiles_.data() + cache.cov_offsets_[si + 1];
-            const std::uint32_t *nb = cov_tiles.data() + cov_offsets[si];
+            const std::uint32_t *nb = cov.tiles.data() + cov.offsets[si];
             const std::uint32_t *ne =
-                cov_tiles.data() + cov_offsets[si + 1];
+                cov.tiles.data() + cov.offsets[si + 1];
             if (!blend_changed && !key_changed && oe - ob == ne - nb &&
                 std::memcmp(ob, nb,
                             static_cast<std::size_t>(oe - ob) *
@@ -777,8 +739,8 @@ TileRenderer::renderTemporal(const GaussianCloud &cloud,
 
         // Per-tile fix-up: rewrite stale depth keys from the current
         // frame (stored entries must always carry current keys — the
-        // next frame's erase lookups depend on it), then restore the
-        // ascending invariant where it broke.
+        // next frame's erase lookups depend on it), restore the
+        // ascending invariant where it broke and queue dirty tiles.
         auto rewrite_keys = [&](std::vector<std::uint64_t> &v) {
             for (std::uint64_t &kv : v) {
                 const std::uint32_t si = packedValue(kv);
@@ -809,90 +771,30 @@ TileRenderer::renderTemporal(const GaussianCloud &cloud,
                     ++tc.tiles_resorted;
                 }
             }
-        }
-        for (std::size_t t = 0; t < num_tiles; ++t) {
             if (patched[t])
                 ++tc.tiles_patched;
             if (dirty[t])
-                dirty_tiles.push_back(static_cast<std::uint32_t>(t));
+                lists.push_back(
+                    {static_cast<std::uint32_t>(t), v.data(), v.size()});
         }
         tc.tiles_reused += static_cast<std::int64_t>(num_tiles) -
-                           static_cast<std::int64_t>(dirty_tiles.size());
+                           static_cast<std::int64_t>(lists.size());
     }
-    tc.tiles_rastered += static_cast<std::int64_t>(dirty_tiles.size());
+    tc.tiles_rastered += static_cast<std::int64_t>(lists.size());
     stage_timer.lap(obs::Stage::Binning, &stats.stage.binning_ms);
 
-    // ---- Re-rasterize only the dirty tiles, straight into the
-    // retained composited image (clean tiles keep their pixels).
-    // Same chunk fan-out and deterministic merge as render();
-    // unique-population counters cover the rastered tiles only. ----
-    Image &image = cache.image_;
-    const std::size_t map_words = (n + 63) / 64;
-    struct TileChunkOut
-    {
-        StandardFlowStats stats;
-        std::vector<std::uint64_t> contributed;
-        std::vector<std::uint64_t> fetched;
-    };
-    const bool fan_out = pool != nullptr && pool->workerCount() >= 2;
-    const std::size_t grain_tiles = std::max<std::size_t>(
-        1, kMinPixelsPerRasterChunk /
-               (static_cast<std::size_t>(tile) * tile));
-    auto tile_ranges =
-        chunkRanges(dirty_tiles.size(),
-                    fan_out ? pool->workerCount() * 4 : 1, grain_tiles);
-    std::vector<TileChunkOut> chunk_out(tile_ranges.size());
-    float *depth_buf = want_depth ? cache.depth_.data() : nullptr;
-    auto raster_dirty = [&](std::size_t c, std::size_t d_begin,
-                            std::size_t d_end) {
-        TileChunkOut &out = chunk_out[c];
-        out.contributed.assign(map_words, 0);
-        out.fetched.assign(map_words, 0);
-        TileScratch scratch;
-        for (std::size_t i = d_begin; i < d_end; ++i) {
-            const std::uint32_t t_idx = dirty_tiles[i];
-            const int bx = static_cast<int>(t_idx % tiles_x);
-            const int by = static_cast<int>(t_idx / tiles_x);
-            const int x0 = bx * tile;
-            const int y0 = by * tile;
-            const int x1 = std::min(x0 + tile, width);
-            const int y1 = std::min(y0 + tile, height);
-            for (int y = y0; y < y1; ++y) {
-                for (int x = x0; x < x1; ++x)
-                    image.at(x, y) = Vec3(0, 0, 0);
-                if (depth_buf != nullptr)
-                    for (int x = x0; x < x1; ++x)
-                        depth_buf[static_cast<std::size_t>(y) * width +
-                                  x] = 0.0f;
-            }
-            const auto &v = cache.tile_entries_[t_idx];
-            if (!v.empty())
-                rasterOneTile(config_, soa, v.data(), v.size(), bx, by,
-                              width, height, image, out.stats,
-                              out.contributed.data(),
-                              out.fetched.data(), scratch,
-                              want_depth ? depths.data() : nullptr,
-                              depth_buf);
-        }
-    };
-    runChunks(fan_out ? pool : nullptr, tile_ranges, raster_dirty);
-
-    std::vector<std::uint64_t> contributed_any(map_words, 0);
-    std::vector<std::uint64_t> fetched_any(map_words, 0);
-    for (const TileChunkOut &out : chunk_out) {
-        stats.tile_fetches += out.stats.tile_fetches;
-        stats.subtile_passes += out.stats.subtile_passes;
-        stats.alpha_evals += out.stats.alpha_evals;
-        stats.pixels_touched += out.stats.pixels_touched;
-        stats.blend_ops += out.stats.blend_ops;
-        for (std::size_t w = 0; w < map_words; ++w) {
-            contributed_any[w] |= out.contributed[w];
-            fetched_any[w] |= out.fetched[w];
-        }
-    }
-    for (std::size_t w = 0; w < map_words; ++w) {
-        stats.fetched_gaussians += std::popcount(fetched_any[w]);
-        stats.rendered_gaussians += std::popcount(contributed_any[w]);
+    // ---- Raster: every non-empty tile of a fresh image after a full
+    // rebuild, else only the dirty tiles (clean tiles keep their
+    // pixels; unique-population counters cover the dirty ones). ----
+    rasterTiles(config_, soa, lists, !incremental, cache.image_, pool,
+                stats, want_depth ? depths.data() : nullptr,
+                want_depth ? cache.depth_.data() : nullptr);
+    if (!incremental) {
+        // Stable radix order is ascending packed (key, si) order (si
+        // ascends within a slice): the invariant the next frame's diff
+        // relies on.
+        for (const TileList &l : lists)
+            cache.tile_entries_[l.tile].assign(l.entries, l.entries + l.len);
     }
     stage_timer.lap(obs::Stage::Raster, &stats.stage.raster_ms);
 
@@ -909,12 +811,11 @@ TileRenderer::renderTemporal(const GaussianCloud &cloud,
     cache.camera_ = cam;
     cache.soa_ = std::move(soa);
     cache.ids_ = std::move(ids);
-    cache.depths_ = std::move(depths);
-    cache.cov_offsets_ = std::move(cov_offsets);
-    cache.cov_tiles_ = std::move(cov_tiles);
+    cache.cov_offsets_ = std::move(cov.offsets);
+    cache.cov_tiles_ = std::move(cov.tiles);
     cache.depth_valid_ = want_depth;
 
-    if (cache.options.every > 1 || cache.options.keep_exact) {
+    if (want_depth) {
         // Warp-source snapshot: this exact frame anchors the next
         // every-1 synthesized frames (or on-demand force_warp ones).
         cache.exact_valid_ = true;
@@ -975,7 +876,6 @@ TileRenderer::renderReference(const GaussianCloud &cloud,
     std::vector<float> tile_t(static_cast<std::size_t>(tile) * tile);
     std::vector<std::uint8_t> contributed(splats.size(), 0);
     std::vector<std::uint8_t> fetched(splats.size(), 0);
-    constexpr int kSub = 8;
     const int sub_n = (tile + kSub - 1) / kSub;
     std::vector<int> sub_live(static_cast<std::size_t>(sub_n) * sub_n);
 

@@ -14,20 +14,24 @@
  * preprocessed counts (Fig. 2a), KV pair counts and per-pixel alpha
  * evaluation counts (Table 1, Fig. 11).
  *
- * Two implementations of the frame are kept:
+ * One tile pipeline serves render(), renderTemporal() and
+ * tilesPerSplat(), in three stages: a per-splat coverage walk (CSR of
+ * covered tiles), a CSR bin of packed (depth key, slot) words into one
+ * flat array, and a chunked raster fan-out that radix-sorts each
+ * tile's slice on monotone depth keys, blends it with per-splat pixel
+ * iteration bounded by the cutoff-safe footprint rect (skipped pixels
+ * are accounted analytically, so the reported hardware stats do not
+ * change) and merges per-chunk stats deterministically.  The temporal
+ * path adds only its own tiers on top: the cached-state checks, the
+ * reprojection warp and the incremental diff-and-patch of the
+ * retained per-tile lists.
  *
- *  - render(): the fast path — SoA splat store, two-pass CSR tile
- *    binning into one flat key-value array, per-tile LSD radix sort
- *    on monotone depth keys, and per-splat pixel iteration bounded by
- *    the cutoff-safe footprint rect (skipped pixels are accounted
- *    analytically, so the reported hardware stats do not change);
- *  - renderReference(): the direct scalar transcription the fast
- *    path is validated against — nested per-tile vectors, comparator
- *    stable_sort, full-tile pixel sweeps.
- *
- * Both produce bit-identical images and identical StandardFlowStats;
+ * renderReference() is the retained direct scalar transcription the
+ * pipeline is validated against: nested per-tile vectors, comparator
+ * stable_sort, full-tile pixel sweeps.  Both produce bit-identical
+ * images and identical StandardFlowStats;
  * tests/test_renderer_equivalence.cc locks that in across bounding
- * modes and tile sizes.
+ * modes, tile sizes and worker counts.
  */
 
 #ifndef GCC3D_RENDER_TILE_RENDERER_H
@@ -88,8 +92,9 @@ struct TileRendererConfig
  * Thread safety: render() keeps all per-frame state on the stack and
  * only reads config_ and its const arguments, so one renderer (or
  * one per thread) may render concurrently, including from a shared
- * const GaussianCloud.  A ThreadPool passed to render() is only used
- * for the preprocess fan-out and may be shared between renderers.
+ * const GaussianCloud.  A ThreadPool passed to render() or
+ * renderTemporal() fans out the preprocess stage and the per-tile
+ * sort-and-raster loop, and may be shared between renderers.
  */
 class TileRenderer
 {
@@ -141,7 +146,7 @@ class TileRenderer
      *
      * Frames of one cache must be rendered sequentially (external
      * happens-before); @p pool only fans out the preprocess stage
-     * and dirty-tile rasterization, never frame-level state.
+     * and tile rasterization, never frame-level state.
      *
      * @p force_warp asks for a synthesized frame regardless of the
      * every-k cadence (the serving degradation ladder's warp tier;
@@ -169,8 +174,8 @@ class TileRenderer
     /**
      * Tile-binning only: returns the number of tiles each splat maps
      * to under the configured bounding mode (used by Fig. 2b without
-     * paying for full rendering).  Shares the coverage helpers of
-     * splat_soa.h with the render paths.
+     * paying for full rendering).  Runs the render paths' coverage
+     * walk, so the counts sum to render()'s kv_pairs.
      */
     std::vector<int> tilesPerSplat(const std::vector<Splat> &splats,
                                    const Camera &cam) const;

@@ -345,13 +345,13 @@ FrameScheduler::run(const std::vector<Session> &sessions, ThreadPool &pool)
                     else
                         shed = ShedReason::Admission;
                 }
-                // Predictive shed only when no ladder can soften the
-                // frame: a hopeless Full render is better degraded
-                // than dropped.
+                // Predictive shed: slack below the predicted Full
+                // cost.  Only when no ladder can soften the frame: a
+                // hopeless Full render is better degraded than
+                // dropped.
                 if (shed == ShedReason::None &&
                     !options_.degrade.enabled &&
-                    slack < picked->predictedMs(DegradeTier::Full) *
-                                adm.slack_factor)
+                    slack < picked->predictedMs(DegradeTier::Full))
                     shed = ShedReason::Admission;
             }
 
@@ -432,8 +432,10 @@ FrameScheduler::run(const std::vector<Session> &sessions, ThreadPool &pool)
                         ? picked->session->renderFrameDegraded(
                               frame, tier, &rec.cost, &served)
                         : picked->session->renderFrame(frame, &rec.cost);
-            } catch (const std::exception &) {
-                rendered = false;  // never wedge the fleet on one frame
+            } catch (...) {
+                // Any thrown type: an escape would leave in_flight
+                // set and wedge every other worker and run().
+                rendered = false;
             }
             // Timestamp before re-acquiring the contended mutex, so
             // lock-wait time is never billed as render time and can't

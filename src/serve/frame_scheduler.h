@@ -84,11 +84,6 @@ struct AdmissionOptions
      *  fairness gate; 0 disables the depth trigger. */
     int max_queue_depth = 0;
 
-    /** Predictive shed: without the degradation ladder, a frame whose
-     *  remaining slack is below slack_factor × the session's
-     *  predicted Full-tier cost is shed at dispatch. */
-    double slack_factor = 1.0;
-
     /** Fairness cap: under scarcity (empty bucket or deep queue), a
      *  session holding more than fair_share × (fleet average + 1)
      *  dispatched renders yields its slot (ShedReason::Fairness).

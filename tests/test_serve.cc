@@ -8,14 +8,21 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <future>
 #include <limits>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "lod/lod_builder.h"
+#include "obs/fault_hooks.h"
 #include "obs/obs_config.h"
 #include "serve/fleet.h"
 #include "serve/frame_scheduler.h"
@@ -393,6 +400,88 @@ TEST(FrameScheduler, GracefulDrainCompletesInFlightFrames)
     // fast machine may legally complete all frames inside the 100 ms
     // stop delay; the stop-before-run test covers guaranteed drain).
     EXPECT_EQ(report.drained, served < kSessions * kFrames);
+}
+
+TEST(FrameScheduler, NonStandardExceptionFailsOnlyItsFrame)
+{
+    // A render that throws something other than std::exception (here
+    // an int, from an injected probe inside the LOD session's
+    // buildCut) must be booked as one failed frame.  If it escaped
+    // the worker loop, its session would stay in flight forever and
+    // run() would either hang on the waiting worker or unwind from
+    // under it.
+    const SceneSpec spec = test::tinySpec(44, 800);
+    const std::string path = ::testing::TempDir() + "/serve-throw.gsc";
+    LodBuildConfig build;
+    build.chunk_target = 100;
+    build.quantize = false;
+    ASSERT_TRUE(buildLodFile(generateScene(spec, 1.0f), path, build));
+
+    constexpr int kFrames = 3;
+    SceneRegistry registry;
+    SessionConfig lod_cfg;
+    lod_cfg.id = 0;
+    lod_cfg.spec = spec;
+    lod_cfg.frames = kFrames;
+    // Leaf cuts with caching off: every frame decodes every chunk.
+    lod_cfg.lod_cut.force_level = 0;
+    SessionConfig tile_cfg;
+    tile_cfg.id = 1;
+    tile_cfg.spec = test::tinyRoomSpec();
+    tile_cfg.frames = kFrames;
+    std::vector<Session> fleet;
+    fleet.emplace_back(lod_cfg,
+                       registry.acquireLod(path, 0, spec, kFrames));
+    fleet.emplace_back(tile_cfg,
+                       registry.acquire(tile_cfg.spec, 1.0f, kFrames));
+    const SerialBaseline base = renderSerial(fleet);
+
+    // Throws an int from the first chunk-decode probe only.
+    struct ThrowOnce final : obs::FaultInjector
+    {
+        std::atomic<bool> thrown{false};
+        obs::FaultAction
+        at(obs::FaultSite site, std::uint64_t) override
+        {
+            if (site == obs::FaultSite::ChunkDecode && !thrown.exchange(true))
+                throw 7;
+            return {};
+        }
+    } injector;
+    struct Scope
+    {
+        explicit Scope(obs::FaultInjector *i) { obs::setFaultInjector(i); }
+        ~Scope() { obs::setFaultInjector(nullptr); }
+    } scope(&injector);
+
+    ThreadPool pool(2);
+    SchedulerOptions options;
+    options.workers = 2;
+    FrameScheduler scheduler(options);
+    auto done = std::async(std::launch::async,
+                           [&] { return scheduler.run(fleet, pool); });
+    if (done.wait_for(std::chrono::seconds(60)) !=
+        std::future_status::ready) {
+        // Watchdog: a wedged run() can't be joined, so fail loudly.
+        std::fprintf(stderr, "FrameScheduler::run did not return\n");
+        std::_Exit(1);
+    }
+    const ServeReport report = done.get();
+    std::filesystem::remove(path);
+
+    EXPECT_TRUE(injector.thrown.load());
+    ASSERT_EQ(report.sessions.size(), 2u);
+    const SessionStats &lod = report.sessions[0];
+    ASSERT_EQ(lod.frames.size(), static_cast<std::size_t>(kFrames));
+    EXPECT_FALSE(lod.frames[0].rendered);  // the faulted frame
+    for (int f = 1; f < kFrames; ++f)
+        EXPECT_TRUE(lod.frames[static_cast<std::size_t>(f)].rendered);
+    const SessionStats &tile = report.sessions[1];
+    ASSERT_EQ(tile.frames.size(), static_cast<std::size_t>(kFrames));
+    for (const auto &frame : tile.frames)
+        EXPECT_TRUE(frame.rendered);
+    EXPECT_EQ(tile.checksum, base.checksums[1]);
+    EXPECT_EQ(report.framesRendered(), 2 * kFrames - 1);
 }
 
 TEST(FrameScheduler, EmptyFleetReturnsEmptyReport)

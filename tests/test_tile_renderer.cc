@@ -177,17 +177,24 @@ TEST(TileRenderer, TilesPerSplatMatchesBinning)
     PreprocessStats pre;
     std::vector<Splat> splats = preprocessAll(cloud, cam, pre);
 
-    TileRenderer renderer;
-    std::vector<int> tiles = renderer.tilesPerSplat(splats, cam);
-    ASSERT_EQ(tiles.size(), splats.size());
-    std::int64_t total = 0;
-    for (int t : tiles) {
-        EXPECT_GE(t, 0);
-        total += t;
+    for (BoundingMode mode :
+         {BoundingMode::Aabb3Sigma, BoundingMode::Obb3Sigma,
+          BoundingMode::OmegaSigma, BoundingMode::Conservative}) {
+        TileRendererConfig cfg;
+        cfg.bounding = mode;
+        TileRenderer renderer(cfg);
+        std::vector<int> tiles = renderer.tilesPerSplat(splats, cam);
+        ASSERT_EQ(tiles.size(), splats.size());
+        std::int64_t total = 0;
+        for (int t : tiles) {
+            EXPECT_GE(t, 0);
+            total += t;
+        }
+        StandardFlowStats st;
+        renderer.render(cloud, cam, st);
+        EXPECT_EQ(total, st.kv_pairs)
+            << "bounding mode " << static_cast<int>(mode);
     }
-    StandardFlowStats st;
-    renderer.render(cloud, cam, st);
-    EXPECT_EQ(total, st.kv_pairs);
 }
 
 } // namespace
