@@ -27,8 +27,9 @@ treeSum(const double *v, std::size_t n)
 
 /** Sort key making a sample multiset's merge order distribution-
  *  independent: value fields only, no thread or wall-clock terms
- *  (equal-key duplicates are interchangeable for summation). */
-bool
+ *  (equal-key duplicates are interchangeable for summation).  Unused
+ *  when GCC3D_OBS=OFF compiles the recorder out. */
+[[maybe_unused]] bool
 mergeKeyLess(const PerfSample &a, const PerfSample &b)
 {
     if (a.stage != b.stage)

@@ -805,9 +805,10 @@ GaussianWiseRenderer::render(const GaussianCloud &cloud, const Camera &cam,
                    h, image, outs[v].stats, outs[v].flags, scratch);
     };
 
-    // One single-element range per non-empty sub-view: the pool's
-    // FIFO queue load-balances crowded center sub-views against empty
-    // borders, and runChunks provides the drain-before-unwind safety.
+    // One single-element range per non-empty sub-view: claiming one
+    // sub-view at a time load-balances crowded center sub-views
+    // against empty borders, and runChunks returns only once every
+    // sub-view has settled.
     std::vector<std::pair<std::size_t, std::size_t>> subview_jobs;
     subview_jobs.reserve(num_subviews);
     for (std::size_t v = 0; v < num_subviews; ++v)

@@ -8,14 +8,18 @@
  * boundaries depend only on (n, workers) — never on timing — so a
  * chunked parallel run can merge per-chunk outputs in chunk order and
  * reproduce the serial result bit-exactly.
+ *
+ * Chunks are *claimed*, not submitted: the calling thread drains the
+ * chunk index itself, helped by whichever pool workers are idle
+ * (ThreadPool::fanOut).  No chunk needs a future, and a fan-out
+ * nested inside a pool task cannot deadlock — with every worker busy
+ * the caller runs all of its chunks alone.
  */
 
 #ifndef GCC3D_RUNTIME_PARALLEL_FOR_H
 #define GCC3D_RUNTIME_PARALLEL_FOR_H
 
 #include <cstddef>
-#include <exception>
-#include <future>
 #include <utility>
 #include <vector>
 
@@ -26,11 +30,11 @@ namespace gcc3d {
 /**
  * Split [0, n) into at most @p max_chunks contiguous half-open ranges
  * of at least @p min_per_chunk elements each.  @p min_per_chunk is
- * the *dispatch grain*: a chunk smaller than it cannot amortize the
- * pool's submit/future overhead, so the split never produces one —
- * in particular, n < 2 * min_per_chunk yields a single chunk, which
- * runChunks runs inline on the caller thread (no pool round-trip at
- * all).  Deterministic in its arguments; empty list for n == 0.
+ * the *dispatch grain*: a chunk smaller than it cannot amortize a
+ * claim and a helper's queue round-trip, so the split never produces
+ * one — in particular, n < 2 * min_per_chunk yields a single chunk,
+ * which runChunks runs inline on the caller thread (no pool
+ * round-trip at all).  Deterministic in its arguments; empty list for n == 0.
  */
 inline std::vector<std::pair<std::size_t, std::size_t>>
 chunkRanges(std::size_t n, int max_chunks, std::size_t min_per_chunk)
@@ -62,14 +66,14 @@ chunkRanges(std::size_t n, int max_chunks, std::size_t min_per_chunk)
 }
 
 /**
- * Run @p fn(chunk_index, begin, end) for every range of @p ranges on
- * @p pool, blocking until all complete.  This is the one submit/drain
- * primitive the frame-level fan-outs share: every future is drained
- * before returning — the task lambdas reference ranges/fn on this
- * stack, so unwinding on the first exception while later chunks still
- * run would dangle them.  The first chunk exception (in submission
- * order) is rethrown after all chunks settle.  A null pool (or fewer
- * than two ranges) runs inline on the caller.
+ * Run @p fn(chunk_index, begin, end) for every range of @p ranges,
+ * blocking until all complete.  This is the one fan-out primitive the
+ * frame-level stages share: the calling thread claims and runs chunks
+ * itself while idle @p pool workers help (ThreadPool::fanOut), so it
+ * returns only once every chunk has settled — fn and ranges live on
+ * the caller's stack.  The first chunk exception in chunk order is
+ * rethrown after all chunks settle.  A null pool (or fewer than two
+ * ranges) runs inline on the caller.
  */
 template <typename Fn>
 void
@@ -83,32 +87,24 @@ runChunks(ThreadPool *pool,
             fn(c, ranges[c].first, ranges[c].second);
         return;
     }
-    std::vector<std::future<void>> pending;
-    pending.reserve(ranges.size());
-    for (std::size_t c = 0; c < ranges.size(); ++c)
-        pending.push_back(pool->submit([&fn, &ranges, c] {
-            fn(c, ranges[c].first, ranges[c].second);
-        }));
-    std::exception_ptr first_error;
-    for (auto &f : pending) {
-        try {
-            f.get();
-        } catch (...) {
-            if (!first_error)
-                first_error = std::current_exception();
-        }
-    }
-    if (first_error)
-        std::rethrow_exception(first_error);
+    auto chunk = [&fn, &ranges](std::size_t c) {
+        fn(c, ranges[c].first, ranges[c].second);
+    };
+    pool->fanOut(
+        ranges.size(),
+        [](void *ctx, std::size_t c) {
+            (*static_cast<decltype(chunk) *>(ctx))(c);
+        },
+        &chunk);
 }
 
 /**
  * Run @p fn(chunk_index, begin, end) for every chunk of [0, n) on
- * @p pool, blocking until all chunks complete.  Chunk boundaries come
- * from chunkRanges, so outputs indexed by chunk_index can be merged
- * deterministically.  @p setup(chunk_count) runs once on the caller
- * before any chunk is dispatched — the hook for sizing per-chunk
- * output slots.  Exceptions from fn propagate to the caller.  A null
+ * the caller and idle @p pool workers, blocking until all chunks
+ * complete (see runChunks).  Chunk boundaries come from chunkRanges,
+ * so outputs indexed by chunk_index can be merged deterministically.
+ * @p setup(chunk_count) runs once on the caller before any chunk is
+ * dispatched — the hook for sizing per-chunk output slots.  Exceptions from fn propagate to the caller.  A null
  * pool (or a single chunk) runs inline on the caller.
  */
 template <typename Fn, typename Setup>

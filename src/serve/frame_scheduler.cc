@@ -151,8 +151,8 @@ FrameScheduler::run(const std::vector<Session> &sessions, ThreadPool &pool)
         obs::MetricsRegistry::global().counter("serve.disconnects");
     obs::Histogram &latency_hist =
         obs::MetricsRegistry::global().histogram("serve.latency_ms");
-    std::vector<double> depth_samples;  // mutex_-guarded (workers)
-    std::int64_t sheds = 0;             // mutex_-guarded (workers)
+    std::vector<double> depth_samples;  // mutex_-guarded (dispatcher)
+    std::int64_t sheds = 0;             // mutex_-guarded (dispatcher)
 
     // Admission token bucket + fairness totals; mutex_-guarded.
     const AdmissionOptions &adm = options_.admission;
@@ -191,10 +191,11 @@ FrameScheduler::run(const std::vector<Session> &sessions, ThreadPool &pool)
             static_cast<std::size_t>(states[i].effective_frames));
     }
 
-    int loops = options_.workers <= 0
-                    ? pool.workerCount()
-                    : std::min(options_.workers, pool.workerCount());
-    loops = std::max(loops, 1);
+    int max_in_flight = options_.workers <= 0
+                            ? pool.workerCount()
+                            : std::min(options_.workers, pool.workerCount());
+    max_in_flight = std::max(max_in_flight, 1);
+    int in_flight = 0;  // mutex_-guarded
 
     // Policy choice among admissible sessions; mutex_ held.  Also
     // reports the admissible count — the queue depth this dispatch
@@ -239,261 +240,259 @@ FrameScheduler::run(const std::vector<Session> &sessions, ThreadPool &pool)
         return best;
     };
 
-    auto worker = [this, &states, &seq, &pick, &now_ms, &depth_samples,
-                   &sheds, &depth_gauge, &shed_counter, &latency_hist,
-                   &adm, &tokens, &last_refill_ms, &total_renders,
-                   &active_sessions, &admission_counter, &fairness_counter,
-                   &degrade_drop_counter, &degrade_served_counter,
-                   &degrade_transition_counter] {
-        bool done = false;
-        while (!done) {
-            UniqueLock lock(mutex_);
-            SessionState *picked = nullptr;
-            int depth = 0;
-            while (true) {
-                if (stop_.load(std::memory_order_acquire)) {
-                    done = true;
-                    break;
-                }
-                double now = now_ms();
-                picked = pick(now, &depth);
-                if (picked != nullptr)
-                    break;
-
-                // Nothing admissible: either the fleet is finished,
-                // or we wait for a pacing release / an in-flight
-                // completion to free a session's next frame.
-                bool all_exhausted = true;
-                double next_release = kInf;
-                for (SessionState &s : states) {
-                    if (s.exhausted())
-                        continue;
-                    all_exhausted = false;
-                    if (!s.in_flight)
-                        next_release = std::min(
-                            next_release, s.releaseMs(s.next_frame));
-                }
-                if (all_exhausted) {
-                    done = true;
-                    break;
-                }
-                if (std::isinf(next_release))
-                    cv_.wait(lock);
-                else
-                    cv_.waitForMs(lock, next_release - now);
-            }
-            if (picked == nullptr)
-                continue;  // done: fall out of the outer loop
-
-            const int frame = picked->next_frame;
-            const double release = picked->releaseMs(frame);
-            const double deadline = picked->deadlineMs(frame);
-            const double admissible = picked->admissibleMs();
-            const double dispatch = now_ms();
-            const obs::SampleTag tag{picked->session->id(), frame, 0};
-
-            // Every dispatch decision samples the depth it chose from.
-            depth_samples.push_back(static_cast<double>(depth));
-            depth_gauge.set(static_cast<double>(depth));
-
-            FrameRecord rec;
-            rec.frame = frame;
-            rec.queue_wait_ms = std::max(0.0, dispatch - admissible);
-            obs::PerfRecorder::global().addSample(obs::Stage::Queue,
-                                                  rec.queue_wait_ms, tag);
-
-            // Shed decision ladder.  Gates are ordered cheapest-first:
-            // already-late (drop_late), then admission control, then
-            // the degradation controller's last rung.  Best-effort
-            // frames (no deadline) are never shed or degraded.
-            ShedReason shed = ShedReason::None;
-            DegradeTier tier = DegradeTier::Full;
-            const bool has_deadline = picked->period_ms > 0.0;
-            const double slack = deadline - dispatch;
-
-            if (options_.drop_late && dispatch > deadline)
-                shed = ShedReason::Late;
-
-            if (shed == ShedReason::None && adm.enabled && has_deadline) {
-                // Token bucket: refill by elapsed time, one token per
-                // dispatched render.
-                if (adm.rate_hz > 0.0) {
-                    tokens = std::min(
-                        adm.burst,
-                        tokens + (dispatch - last_refill_ms) *
-                                     adm.rate_hz / 1000.0);
-                    last_refill_ms = dispatch;
-                }
-                const bool scarce =
-                    (adm.rate_hz > 0.0 && tokens < 1.0) ||
-                    (adm.max_queue_depth > 0 &&
-                     depth > adm.max_queue_depth);
-                if (scarce && adm.fair_share > 0.0 &&
-                    active_sessions > 0) {
-                    // Under scarcity a hog yields before it can take
-                    // the last token from a starved session.
-                    const double avg =
-                        static_cast<double>(total_renders) /
-                        static_cast<double>(active_sessions);
-                    if (static_cast<double>(picked->renders_done) >
-                        adm.fair_share * (avg + 1.0))
-                        shed = ShedReason::Fairness;
-                }
-                if (shed == ShedReason::None && adm.rate_hz > 0.0) {
-                    if (tokens >= 1.0)
-                        tokens -= 1.0;
-                    else
-                        shed = ShedReason::Admission;
-                }
-                // Predictive shed: slack below the predicted Full
-                // cost.  Only when no ladder can soften the frame: a
-                // hopeless Full render is better degraded than
-                // dropped.
-                if (shed == ShedReason::None &&
-                    !options_.degrade.enabled &&
-                    slack < picked->predictedMs(DegradeTier::Full))
-                    shed = ShedReason::Admission;
-            }
-
-            if (shed == ShedReason::None && options_.degrade.enabled &&
-                has_deadline && picked->session->config().degrade) {
-                // First fit down the ladder; nothing fits -> last rung.
-                tier = DegradeTier::Drop;
-                shed = ShedReason::Degrade;
-                for (int t = 0; t < 4; ++t) {
-                    const auto cand = static_cast<DegradeTier>(t);
-                    if (cand != DegradeTier::Full &&
-                        !picked->session->tierAvailable(cand))
-                        continue;
-                    if (picked->predictedMs(cand) <=
-                        slack * options_.degrade.safety) {
-                        tier = cand;
-                        shed = ShedReason::None;
-                        break;
-                    }
-                }
-            }
-
-            if (shed != ShedReason::None) {
-                // Overload shedding: don't render, record why.
-                rec.rendered = false;
-                rec.deadline_missed = true;
-                rec.tier = DegradeTier::Drop;
-                rec.shed_reason = shed;
-                picked->records.push_back(rec);
-                picked->next_frame++;
-                picked->ready_ms = dispatch;
-                picked->ready_seq = seq++;
-                ++sheds;
-                shed_counter.add();
-                switch (shed) {
-                case ShedReason::Admission:
-                    admission_counter.add();
-                    break;
-                case ShedReason::Fairness:
-                    fairness_counter.add();
-                    break;
-                case ShedReason::Degrade:
-                    degrade_drop_counter.add();
-                    break;
-                default:
-                    break;
-                }
-                cv_.notifyAll();
-                continue;
-            }
-
-            picked->in_flight = true;
-            picked->renders_done++;
-            total_renders++;
-            lock.unlock();
-
-            if (options_.chaos != nullptr) {
-                // Deterministic worker stall, keyed on (session, frame)
-                // so a fixed seed stalls the same renders every run.
-                const obs::FaultAction stall = options_.chaos->at(
-                    obs::FaultSite::WorkerStall,
-                    (static_cast<std::uint64_t>(static_cast<std::uint32_t>(
-                         picked->session->id()))
-                     << 32) |
-                        static_cast<std::uint32_t>(frame));
-                if (stall.inject && stall.magnitude > 0.0)
-                    std::this_thread::sleep_for(
-                        std::chrono::duration<double, std::milli>(
-                            stall.magnitude));
-            }
-
-            double checksum = 0.0;
-            bool rendered = true;
-            DegradeTier served = DegradeTier::Full;
-            try {
-                checksum =
-                    tier != DegradeTier::Full
-                        ? picked->session->renderFrameDegraded(
-                              frame, tier, &rec.cost, &served)
-                        : picked->session->renderFrame(frame, &rec.cost);
-            } catch (...) {
-                // Any thrown type: an escape would leave in_flight
-                // set and wedge every other worker and run().
-                rendered = false;
-            }
-            // Timestamp before re-acquiring the contended mutex, so
-            // lock-wait time is never billed as render time and can't
-            // flip an on-time frame into a recorded miss.
-            const double complete = now_ms();
-
-            lock.lock();
-            rec.rendered = rendered;
-            rec.checksum = checksum;
-            rec.tier = served;
-            rec.render_ms = complete - dispatch;
-            if (rendered) {
-                // Feed the degradation controller: EWMA of the tier
-                // actually served (best-effort fallbacks bill Full).
-                const int t = static_cast<int>(served);
-                if (t >= 0 && t < 4) {
-                    picked->tier_ewma[t] =
-                        picked->tier_seen[t]
-                            ? 0.7 * picked->tier_ewma[t] +
-                                  0.3 * rec.render_ms
-                            : rec.render_ms;
-                    picked->tier_seen[t] = true;
-                }
-                if (served != DegradeTier::Full)
-                    degrade_served_counter.add();
-                if (served != picked->last_tier) {
-                    degrade_transition_counter.add();
-                    picked->last_tier = served;
-                }
-            }
-            // Best-effort sessions measure latency from queueing; a
-            // paced frame measures from its release (the client asked
-            // for it then).
-            rec.latency_ms =
-                complete - (picked->period_ms > 0.0 ? release : admissible);
-            rec.deadline_missed = complete > deadline;
-            obs::PerfRecorder::global().addSample(obs::Stage::Frame,
-                                                  rec.render_ms, tag);
-            latency_hist.record(rec.latency_ms);
-            picked->records.push_back(rec);
-            picked->next_frame++;
-            picked->in_flight = false;
-            picked->ready_ms = complete;
-            picked->ready_seq = seq++;
-            cv_.notifyAll();
+    // The render task of one dispatched frame, run on a pool thread:
+    // render (fanning out over the pool's idle workers), then book the
+    // frame under mutex_ and wake the dispatcher.  @p dispatch is the
+    // decision time; the session's release, deadline and admissible
+    // times cannot change while its frame is in flight.
+    auto render = [this, &pool, &now_ms, &seq, &in_flight, &latency_hist,
+                   &degrade_served_counter, &degrade_transition_counter](
+                      SessionState *picked, FrameRecord rec, DegradeTier tier,
+                      double dispatch) {
+        const int frame = rec.frame;
+        if (options_.chaos != nullptr) {
+            // Deterministic worker stall, keyed on (session, frame)
+            // so a fixed seed stalls the same renders every run.
+            const obs::FaultAction stall = options_.chaos->at(
+                obs::FaultSite::WorkerStall,
+                (static_cast<std::uint64_t>(static_cast<std::uint32_t>(
+                     picked->session->id()))
+                 << 32) |
+                    static_cast<std::uint32_t>(frame));
+            if (stall.inject && stall.magnitude > 0.0)
+                std::this_thread::sleep_for(
+                    std::chrono::duration<double, std::milli>(
+                        stall.magnitude));
         }
+
+        double checksum = 0.0;
+        bool rendered = true;
+        DegradeTier served = DegradeTier::Full;
+        try {
+            checksum = tier != DegradeTier::Full
+                           ? picked->session->renderFrameDegraded(
+                                 frame, tier, &rec.cost, &served, &pool)
+                           : picked->session->renderFrame(frame, &rec.cost,
+                                                          &pool);
+        } catch (...) {
+            // Any thrown type: an escape would leave in_flight set
+            // and wedge run(), and would terminate the pool thread.
+            rendered = false;
+        }
+        // Timestamp before acquiring the contended mutex, so lock-wait
+        // time is never billed as render time and can't flip an
+        // on-time frame into a recorded miss.
+        const double complete = now_ms();
+
+        MutexLock lock(mutex_);
+        rec.rendered = rendered;
+        rec.checksum = checksum;
+        rec.tier = served;
+        rec.render_ms = complete - dispatch;
+        if (rendered) {
+            // Feed the degradation controller: EWMA of the tier
+            // actually served (best-effort fallbacks bill Full).
+            const int t = static_cast<int>(served);
+            if (t >= 0 && t < 4) {
+                picked->tier_ewma[t] =
+                    picked->tier_seen[t]
+                        ? 0.7 * picked->tier_ewma[t] + 0.3 * rec.render_ms
+                        : rec.render_ms;
+                picked->tier_seen[t] = true;
+            }
+            if (served != DegradeTier::Full)
+                degrade_served_counter.add();
+            if (served != picked->last_tier) {
+                degrade_transition_counter.add();
+                picked->last_tier = served;
+            }
+        }
+        // Best-effort sessions measure latency from queueing; a paced
+        // frame measures from its release (the client asked for it
+        // then).
+        rec.latency_ms = complete - (picked->period_ms > 0.0
+                                         ? picked->releaseMs(frame)
+                                         : picked->admissibleMs());
+        rec.deadline_missed = complete > picked->deadlineMs(frame);
+        obs::PerfRecorder::global().addSample(
+            obs::Stage::Frame, rec.render_ms,
+            obs::SampleTag{picked->session->id(), frame, 0});
+        latency_hist.record(rec.latency_ms);
+        picked->records.push_back(rec);
+        picked->next_frame++;
+        picked->in_flight = false;
+        picked->ready_ms = complete;
+        picked->ready_seq = seq++;
+        --in_flight;
+        cv_.notifyAll();
     };
 
-    std::vector<std::future<void>> futures;
-    futures.reserve(static_cast<std::size_t>(loops));
-    for (int i = 0; i < loops; ++i)
-        futures.push_back(pool.submit(worker));
-    for (std::future<void> &f : futures)
-        f.get();
+    // The dispatcher: this thread makes every pick and shed decision
+    // under mutex_ and posts each render to the pool, at most
+    // max_in_flight at a time.  Pool threads only render frames or run
+    // fan-out chunks, so an idle one waits in the pool queue — where
+    // in-flight frames post their helpers — never on cv_.
+    UniqueLock lock(mutex_);
+    while (!stop_.load(std::memory_order_acquire)) {
+        const double now = now_ms();
+        int depth = 0;
+        SessionState *picked =
+            in_flight < max_in_flight ? pick(now, &depth) : nullptr;
+        if (picked == nullptr) {
+            // No free slot or nothing admissible: either the fleet is
+            // finished, or we wait for a completion or a pacing
+            // release to free a session's next frame.
+            bool all_exhausted = true;
+            double next_release = kInf;
+            for (SessionState &s : states) {
+                if (s.exhausted())
+                    continue;
+                all_exhausted = false;
+                if (!s.in_flight)
+                    next_release =
+                        std::min(next_release, s.releaseMs(s.next_frame));
+            }
+            if (all_exhausted)
+                break;
+            if (in_flight >= max_in_flight || std::isinf(next_release))
+                cv_.wait(lock);
+            else
+                cv_.waitForMs(lock, next_release - now);
+            continue;
+        }
+
+        const int frame = picked->next_frame;
+        const double deadline = picked->deadlineMs(frame);
+        const double admissible = picked->admissibleMs();
+        const double dispatch = now_ms();
+
+        // Every dispatch decision samples the depth it chose from.
+        depth_samples.push_back(static_cast<double>(depth));
+        depth_gauge.set(static_cast<double>(depth));
+
+        FrameRecord rec;
+        rec.frame = frame;
+        rec.queue_wait_ms = std::max(0.0, dispatch - admissible);
+        const obs::SampleTag tag{picked->session->id(), frame, 0};
+        obs::PerfRecorder::global().addSample(obs::Stage::Queue,
+                                              rec.queue_wait_ms, tag);
+
+        // Shed decision ladder.  Gates are ordered cheapest-first:
+        // already-late (drop_late), then admission control, then the
+        // degradation controller's last rung.  Best-effort frames (no
+        // deadline) are never shed or degraded.
+        ShedReason shed = ShedReason::None;
+        DegradeTier tier = DegradeTier::Full;
+        const bool has_deadline = picked->period_ms > 0.0;
+        const double slack = deadline - dispatch;
+
+        if (options_.drop_late && dispatch > deadline)
+            shed = ShedReason::Late;
+
+        if (shed == ShedReason::None && adm.enabled && has_deadline) {
+            // Token bucket: refill by elapsed time, one token per
+            // dispatched render.
+            if (adm.rate_hz > 0.0) {
+                tokens = std::min(adm.burst,
+                                  tokens + (dispatch - last_refill_ms) *
+                                               adm.rate_hz / 1000.0);
+                last_refill_ms = dispatch;
+            }
+            const bool scarce =
+                (adm.rate_hz > 0.0 && tokens < 1.0) ||
+                (adm.max_queue_depth > 0 && depth > adm.max_queue_depth);
+            if (scarce && adm.fair_share > 0.0 && active_sessions > 0) {
+                // Under scarcity a hog yields before it can take the
+                // last token from a starved session.
+                const double avg = static_cast<double>(total_renders) /
+                                   static_cast<double>(active_sessions);
+                if (static_cast<double>(picked->renders_done) >
+                    adm.fair_share * (avg + 1.0))
+                    shed = ShedReason::Fairness;
+            }
+            if (shed == ShedReason::None && adm.rate_hz > 0.0) {
+                if (tokens >= 1.0)
+                    tokens -= 1.0;
+                else
+                    shed = ShedReason::Admission;
+            }
+            // Predictive shed: slack below the predicted Full cost.
+            // Only when no ladder can soften the frame: a hopeless
+            // Full render is better degraded than dropped.
+            if (shed == ShedReason::None && !options_.degrade.enabled &&
+                slack < picked->predictedMs(DegradeTier::Full))
+                shed = ShedReason::Admission;
+        }
+
+        if (shed == ShedReason::None && options_.degrade.enabled &&
+            has_deadline && picked->session->config().degrade) {
+            // First fit down the ladder; nothing fits -> last rung.
+            tier = DegradeTier::Drop;
+            shed = ShedReason::Degrade;
+            for (int t = 0; t < 4; ++t) {
+                const auto cand = static_cast<DegradeTier>(t);
+                if (cand != DegradeTier::Full &&
+                    !picked->session->tierAvailable(cand))
+                    continue;
+                if (picked->predictedMs(cand) <=
+                    slack * options_.degrade.safety) {
+                    tier = cand;
+                    shed = ShedReason::None;
+                    break;
+                }
+            }
+        }
+
+        if (shed != ShedReason::None) {
+            // Overload shedding: don't render, record why.
+            rec.rendered = false;
+            rec.deadline_missed = true;
+            rec.tier = DegradeTier::Drop;
+            rec.shed_reason = shed;
+            picked->records.push_back(rec);
+            picked->next_frame++;
+            picked->ready_ms = dispatch;
+            picked->ready_seq = seq++;
+            ++sheds;
+            shed_counter.add();
+            switch (shed) {
+            case ShedReason::Admission:
+                admission_counter.add();
+                break;
+            case ShedReason::Fairness:
+                fairness_counter.add();
+                break;
+            case ShedReason::Degrade:
+                degrade_drop_counter.add();
+                break;
+            default:
+                break;
+            }
+            continue;
+        }
+
+        picked->in_flight = true;
+        picked->renders_done++;
+        total_renders++;
+        ++in_flight;
+        if (!pool.post([&render, picked, rec, tier, dispatch] {
+                render(picked, rec, tier, dispatch);
+            })) {
+            // The pool is shutting down: render on this thread.
+            lock.unlock();
+            render(picked, rec, tier, dispatch);
+            lock.lock();
+        }
+    }
+    // Stop or fleet done: every frame already posted completes and is
+    // recorded before the report is built.
+    while (in_flight > 0)
+        cv_.wait(lock);
+    lock.unlock();
 
     ServeReport report;
     report.policy = schedulerPolicyName(options_.policy);
-    report.workers = loops;
+    report.workers = max_in_flight;
     report.wall_ms = now_ms();
     report.queue_depth = aggregate(std::move(depth_samples));
     report.sheds = sheds;
@@ -512,8 +511,8 @@ void
 FrameScheduler::requestStop()
 {
     stop_.store(true, std::memory_order_release);
-    // Lock so no worker can slip between its stop check and its wait;
-    // the notify then reaches every sleeping worker.
+    // Lock so the dispatcher can't slip between its stop check and its
+    // wait; the notify then reaches it.
     MutexLock lock(mutex_);
     cv_.notifyAll();
 }

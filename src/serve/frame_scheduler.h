@@ -11,8 +11,15 @@
  * deadline (i+1)/f — while best-effort sessions (target 0) are always
  * released and never miss.
  *
- * Pluggable policies decide which admissible session a free worker
- * serves next:
+ * run()'s own thread is the dispatcher: it makes every pick and shed
+ * decision and posts each frame's render to the ThreadPool as one
+ * task.  Pool threads only render frames or run fan-out chunks, so a
+ * worker with no frame to render waits in the pool queue, where the
+ * in-flight frames' stage fan-outs recruit it (runtime/parallel_for.h)
+ * — below capacity, idle cores shorten the frames being served.
+ *
+ * Pluggable policies decide which admissible session the next free
+ * render slot serves:
  *
  *  - Fifo        the frame that has been admissible longest (global
  *                arrival order; long sessions can starve late ones),
@@ -45,7 +52,7 @@
 
 namespace gcc3d {
 
-/** Which admissible frame a free worker serves next. */
+/** Which admissible frame the next free render slot serves. */
 enum class SchedulerPolicy
 {
     Fifo,       ///< longest-admissible first
@@ -114,8 +121,9 @@ struct SchedulerOptions
     SchedulerPolicy policy = SchedulerPolicy::Fifo;
 
     /**
-     * Concurrent render workers; <= 0 uses every pool worker.
-     * Clamped to the pool's worker count.
+     * Cap on frames in flight (each renders as one pool task); <= 0
+     * uses the pool's worker count, larger values are clamped to it.
+     * Pool workers beyond the frames in flight help render them.
      */
     int workers = 0;
 
@@ -139,7 +147,7 @@ struct SchedulerOptions
 };
 
 /**
- * Work-queue scheduler executing a session fleet on a ThreadPool.
+ * Dispatching scheduler executing a session fleet on a ThreadPool.
  *
  * One scheduler instance performs one run() (stop requests are
  * sticky); construct a fresh scheduler per serving run.
@@ -157,9 +165,15 @@ class FrameScheduler
 
     /**
      * Serve every frame of every session to completion (or until
-     * requestStop()), blocking the caller.  Worker loops run as pool
-     * tasks, so the pool may be shared — but must not be saturated
-     * with tasks that wait on this scheduler.
+     * requestStop()), blocking the caller, which dispatches: it
+     * decides under mutex_ which frame renders next (or is shed) and
+     * posts the render to @p pool, with at most options().workers
+     * frames in flight.  Each render task fans its stages out over
+     * the pool's idle workers, and no pool task ever waits on this
+     * scheduler, so the pool may be shared with other work.  Call it
+     * from a thread outside @p pool: a frame only renders on a pool
+     * worker.  If the pool begins shutdown mid-run, the remaining
+     * frames render on the calling thread.
      */
     ServeReport run(const std::vector<Session> &sessions,
                     ThreadPool &pool);
@@ -190,10 +204,12 @@ class FrameScheduler
      * every field of every SessionState, and the pick()/record logic
      * over them, executes under mutex_ — locals cannot carry
      * GUARDED_BY, so the contract is enforced by construction: the
-     * worker lambda only touches states inside its UniqueLock scope).
-     * Also the hand-off that makes a temporal session's mutable cache
-     * safe: releasing mutex_ after in_flight is set and re-acquiring
-     * it on completion orders consecutive frames of one session.
+     * dispatcher holds it while deciding, and a render task touches
+     * states only inside its MutexLock scope).  Also the hand-off that
+     * makes a temporal session's mutable cache safe: a frame's render
+     * task books it under mutex_ before the dispatcher can pick the
+     * session's next frame, which orders consecutive frames of one
+     * session.  cv_ wakes the dispatcher alone.
      *
      * gsc-lint: allow(mutex-guard) — the guarded data is run()-local
      * (see above), so no *member* can carry GUARDED_BY(mutex_).

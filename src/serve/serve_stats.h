@@ -98,7 +98,7 @@ SessionStats summarizeSession(const Session &session,
 struct ServeReport
 {
     std::string policy;   ///< scheduler policy name
-    int workers = 0;
+    int workers = 0;      ///< cap on frames in flight
     double wall_ms = 0.0;
     bool drained = false; ///< true when stopped before completion
 

@@ -104,7 +104,7 @@ Session::renderFrame(int frame) const
 }
 
 double
-Session::renderFrame(int frame, FrameStageCost *cost) const
+Session::renderFrame(int frame, FrameStageCost *cost, ThreadPool *pool) const
 {
     if (frame < 0 || frame >= config_.frames)
         throw std::out_of_range("session frame index out of range");
@@ -126,8 +126,9 @@ Session::renderFrame(int frame, FrameStageCost *cost) const
     if (config_.renderer == SessionRenderer::Tile) {
         StandardFlowStats stats;
         const Image image =
-            temporal_ ? tile_.renderTemporal(*cloud, cam, stats, *temporal_)
-                      : tile_.render(*cloud, cam, stats);
+            temporal_
+                ? tile_.renderTemporal(*cloud, cam, stats, *temporal_, pool)
+                : tile_.render(*cloud, cam, stats, pool);
         if (cost != nullptr) {
             cost->pre_ms = stats.stage.preprocess_ms;
             cost->bin_ms = stats.stage.binning_ms;
@@ -138,7 +139,7 @@ Session::renderFrame(int frame, FrameStageCost *cost) const
         return imageChecksum(image);
     }
     GaussianWiseStats stats;
-    const Image image = gw_.render(*cloud, cam, stats);
+    const Image image = gw_.render(*cloud, cam, stats, pool);
     if (cost != nullptr) {
         cost->pre_ms = stats.stage.preprocess_ms;
         cost->bin_ms = stats.stage.binning_ms;
@@ -170,14 +171,14 @@ Session::tierAvailable(DegradeTier tier) const
 
 double
 Session::renderFrameDegraded(int frame, DegradeTier tier,
-                             FrameStageCost *cost,
-                             DegradeTier *served) const
+                             FrameStageCost *cost, DegradeTier *served,
+                             ThreadPool *pool) const
 {
     if (tier == DegradeTier::Full || tier == DegradeTier::Drop ||
         !tierAvailable(tier)) {
         if (served != nullptr)
             *served = DegradeTier::Full;
-        return renderFrame(frame, cost);
+        return renderFrame(frame, cost, pool);
     }
     if (frame < 0 || frame >= config_.frames)
         throw std::out_of_range("session frame index out of range");
@@ -195,7 +196,7 @@ Session::renderFrameDegraded(int frame, DegradeTier tier,
         const std::int64_t copied_before =
             temporal_->counters().copied_frames;
         const Image image = tile_.renderTemporal(
-            *scene_.cloud, cam, stats, *temporal_, nullptr,
+            *scene_.cloud, cam, stats, *temporal_, pool,
             /*force_warp=*/true);
         if (cost != nullptr) {
             cost->pre_ms = stats.stage.preprocess_ms;
@@ -232,7 +233,7 @@ Session::renderFrameDegraded(int frame, DegradeTier tier,
         *served = tier;
     if (config_.renderer == SessionRenderer::Tile) {
         StandardFlowStats stats;
-        const Image image = tile_.render(*cloud, render_cam, stats);
+        const Image image = tile_.render(*cloud, render_cam, stats, pool);
         if (cost != nullptr) {
             cost->pre_ms = stats.stage.preprocess_ms;
             cost->bin_ms = stats.stage.binning_ms;
@@ -243,7 +244,7 @@ Session::renderFrameDegraded(int frame, DegradeTier tier,
         return imageChecksum(image);
     }
     GaussianWiseStats stats;
-    const Image image = gw_.render(*cloud, render_cam, stats);
+    const Image image = gw_.render(*cloud, render_cam, stats, pool);
     if (cost != nullptr) {
         cost->pre_ms = stats.stage.preprocess_ms;
         cost->bin_ms = stats.stage.binning_ms;

@@ -222,9 +222,13 @@ class Session
      * As above, additionally reporting the frame's per-stage cost
      * breakdown into @p cost (may be null).  Rendering runs under an
      * obs::FrameTag, so recorder samples from inside the renderers
-     * carry this session/frame.
+     * carry this session/frame.  A non-null @p pool lets the
+     * renderers fan the frame's stages out over the caller and the
+     * pool's idle workers; chunk boundaries depend only on the pool's
+     * worker count, so pixels and checksums do not change.
      */
-    double renderFrame(int frame, FrameStageCost *cost) const;
+    double renderFrame(int frame, FrameStageCost *cost,
+                       ThreadPool *pool = nullptr) const;
 
     /**
      * True iff this session can serve @p tier at all: Full always,
@@ -243,11 +247,12 @@ class Session
      * reports the tier actually delivered.  Degraded tiers are
      * stateless — they never advance the temporal cache, so the
      * next Full frame is unaffected.  Deterministic in (session
-     * state, frame, tier) like renderFrame.
+     * state, frame, tier) like renderFrame, and fans out over
+     * @p pool the same way.
      */
     double renderFrameDegraded(int frame, DegradeTier tier,
-                               FrameStageCost *cost,
-                               DegradeTier *served) const;
+                               FrameStageCost *cost, DegradeTier *served,
+                               ThreadPool *pool = nullptr) const;
 
     /**
      * The session's temporal cache, or null when config.temporal is

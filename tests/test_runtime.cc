@@ -9,13 +9,20 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "obs/metrics_registry.h"
+#include "obs/obs_config.h"
 #include "runtime/parallel_for.h"
 #include "runtime/result_table.h"
 #include "runtime/sweep_runner.h"
@@ -110,6 +117,19 @@ TEST(ThreadPool, SubmitAfterShutdownThrowsInsteadOfWedging)
     EXPECT_THROW(pool.submit([] { return 7; }), std::runtime_error);
     // The rejection is stateless: it keeps rejecting, not crashing.
     EXPECT_THROW(pool.submit([] {}), std::runtime_error);
+}
+
+TEST(ThreadPool, PostRunsTasksAndRefusesAfterShutdown)
+{
+    ThreadPool pool(2);
+    std::atomic<int> done{0};
+    for (int i = 0; i < 32; ++i)
+        EXPECT_TRUE(pool.post([&done] { ++done; }));
+    pool.shutdown();
+    EXPECT_EQ(done.load(), 32);  // queued posts drain like submits
+    EXPECT_FALSE(pool.post([&done] { ++done; }));
+    EXPECT_EQ(pool.idleWorkers(), 0);
+    EXPECT_EQ(done.load(), 32);
 }
 
 // ---- Sweep expansion ----
@@ -512,6 +532,159 @@ TEST(ParallelFor, ForEachChunkVisitsEveryIndexOnce)
                  });
     for (std::size_t i = 0; i < kN; ++i)
         EXPECT_EQ(visits[i].load(), 1) << "index " << i;
+}
+
+/**
+ * Run @p body on its own thread; a fan-out that deadlocks can't be
+ * joined, so fail the whole binary loudly after 60 s instead.
+ */
+template <typename Body>
+void
+withWatchdog(Body body)
+{
+    auto done = std::async(std::launch::async, body);
+    if (done.wait_for(std::chrono::seconds(60)) !=
+        std::future_status::ready) {
+        std::fprintf(stderr, "fan-out did not finish within 60 s\n");
+        std::_Exit(1);
+    }
+    done.get();
+}
+
+TEST(ParallelFor, FanOutOnAStoppingPoolRunsInline)
+{
+    // A fan-out that starts while the owner is inside shutdown() gets
+    // no helpers; its caller must still run every chunk, not fail or
+    // leave chunks queued against its dead stack frame.
+    ThreadPool pool(2);
+    std::vector<std::atomic<int>> visits(8);
+    auto task = pool.submit([&] {
+        while (!pool.stopping())
+            std::this_thread::yield();
+        runChunks(&pool, chunkRanges(8, 8, 1),
+                  [&](std::size_t, std::size_t begin, std::size_t end) {
+                      for (std::size_t i = begin; i < end; ++i)
+                          ++visits[i];
+                  });
+    });
+    pool.shutdown();
+    EXPECT_NO_THROW(task.get());
+    for (std::size_t i = 0; i < visits.size(); ++i)
+        EXPECT_EQ(visits[i].load(), 1) << "index " << i;
+}
+
+TEST(ParallelFor, NestedFanOutOnEveryWorkerCannotDeadlock)
+{
+    // Every worker fans out on its own pool at once, and every chunk
+    // fans out again: no worker is idle to help, so each caller must
+    // drain its own chunks instead of waiting on a queue nobody
+    // serves.
+    constexpr std::size_t kOuter = 16;
+    constexpr std::size_t kInner = 4;
+    for (int workers : {2, 4}) {
+        withWatchdog([=] {
+            ThreadPool pool(workers);
+            const auto outer = chunkRanges(kOuter, kOuter, 1);
+            const auto inner = chunkRanges(kInner, kInner, 1);
+            ASSERT_EQ(outer.size(), kOuter);
+            std::vector<std::atomic<int>> visits(
+                static_cast<std::size_t>(workers) * kOuter * kInner);
+            std::atomic<int> started{0};
+            std::vector<std::future<void>> tasks;
+            for (int w = 0; w < workers; ++w)
+                tasks.push_back(pool.submit([&, w] {
+                    // Occupy every worker before anyone fans out.
+                    ++started;
+                    while (started.load() < workers)
+                        std::this_thread::yield();
+                    runChunks(&pool, outer,
+                              [&](std::size_t c, std::size_t, std::size_t) {
+                        runChunks(&pool, inner,
+                                  [&](std::size_t, std::size_t b,
+                                      std::size_t) {
+                            ++visits[(static_cast<std::size_t>(w) * kOuter +
+                                      c) * kInner + b];
+                        });
+                    });
+                }));
+            for (auto &t : tasks)
+                t.get();
+            for (std::size_t i = 0; i < visits.size(); ++i)
+                EXPECT_EQ(visits[i].load(), 1)
+                    << "index " << i << " with " << workers << " workers";
+        });
+    }
+}
+
+TEST(ParallelFor, FirstChunkInOrderThrowsAfterEveryChunkSettles)
+{
+    // Chunk 3 throws first in time, chunk 1 later: the caller gets
+    // chunk 1's exception (chunk order, as a serial loop would), and
+    // only once every other chunk — the slow ones included — is done.
+    ThreadPool pool(4);
+    const auto ranges = chunkRanges(8, 8, 1);
+    std::vector<std::atomic<bool>> finished(ranges.size());
+    try {
+        runChunks(&pool, ranges,
+                  [&](std::size_t c, std::size_t, std::size_t) {
+                      if (c == 3)
+                          throw std::runtime_error("chunk 3");
+                      std::this_thread::sleep_for(
+                          std::chrono::milliseconds(5 * (c + 1)));
+                      if (c == 1)
+                          throw std::runtime_error("chunk 1");
+                      finished[c] = true;
+                  });
+        ADD_FAILURE() << "no chunk exception reached the caller";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "chunk 1");
+    }
+    for (std::size_t c = 0; c < finished.size(); ++c) {
+        if (c != 1 && c != 3) {
+            EXPECT_TRUE(finished[c].load()) << "chunk " << c;
+        }
+    }
+}
+
+TEST(ParallelFor, CallerRunsChunksBesideIdleWorkers)
+{
+    ThreadPool pool(4);
+    // Let every worker reach its idle wait, so helpers are recruited.
+    for (int spin = 0; pool.idleWorkers() < 4 && spin < 5000; ++spin)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(pool.idleWorkers(), 4);
+
+    constexpr std::size_t kN = 4000;
+    constexpr std::size_t kGrain = 100;
+    const auto expected = chunkRanges(kN, 4, kGrain);
+    ASSERT_EQ(expected.size(), 4u);
+    std::vector<std::pair<std::size_t, std::size_t>> seen(expected.size());
+    std::vector<std::thread::id> ran_on(expected.size());
+#if GCC3D_OBS_ENABLED
+    obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
+    const std::int64_t fanout0 =
+        reg.counter("runtime.pool.fanout_chunks").value();
+    const std::int64_t helped0 =
+        reg.counter("runtime.pool.helped_chunks").value();
+#endif
+    forEachChunk(&pool, kN, kGrain,
+                 [&](std::size_t c, std::size_t begin, std::size_t end) {
+                     seen[c] = {begin, end};
+                     ran_on[c] = std::this_thread::get_id();
+                     std::this_thread::sleep_for(
+                         std::chrono::milliseconds(2));
+                 });
+    // Boundaries depend only on (n, workers), never on who ran what.
+    EXPECT_EQ(seen, expected);
+    const auto by_caller = std::count(ran_on.begin(), ran_on.end(),
+                                      std::this_thread::get_id());
+    EXPECT_GE(by_caller, 1);
+#if GCC3D_OBS_ENABLED
+    EXPECT_EQ(reg.counter("runtime.pool.fanout_chunks").value() - fanout0,
+              static_cast<std::int64_t>(expected.size()));
+    EXPECT_EQ(reg.counter("runtime.pool.helped_chunks").value() - helped0,
+              static_cast<std::int64_t>(expected.size()) - by_caller);
+#endif
 }
 
 } // namespace

@@ -484,6 +484,53 @@ TEST(FrameScheduler, NonStandardExceptionFailsOnlyItsFrame)
     EXPECT_EQ(report.framesRendered(), 2 * kFrames - 1);
 }
 
+TEST(FrameScheduler, NestedFanOutUnderSaturationMatchesSerial)
+{
+    // Two frames in flight on a two-worker pool: every render fans
+    // its stages out over the pool it runs on while no worker is idle
+    // to help, so each frame's thread must drain its own chunks.  A
+    // blocking fan-out would deadlock here; a racy one would move a
+    // checksum off the serial baseline.
+    constexpr int kFrames = 3;
+    const SceneSpec object = test::tinySpec(42, 9000);
+    const SceneSpec room = test::tinyRoomSpec(43, 9000);
+    SceneRegistry registry;
+    std::vector<Session> fleet;
+    for (int i = 0; i < 4; ++i) {
+        SessionConfig cfg;
+        cfg.id = i;
+        cfg.spec = i % 2 == 0 ? object : room;
+        cfg.frames = kFrames;
+        cfg.renderer = i < 2 ? SessionRenderer::Tile
+                             : SessionRenderer::GaussianWise;
+        cfg.temporal = i == 0 ? 1 : 0;  // one exact temporal stream
+        cfg.gw.subview_size = i == 2 ? 64 : 0;  // Cmode and full view
+        fleet.emplace_back(cfg,
+                           registry.acquire(cfg.spec, 1.0f, kFrames));
+    }
+    const SerialBaseline base = renderSerial(fleet);
+
+    ThreadPool pool(2);
+    SchedulerOptions options;
+    options.workers = 2;
+    FrameScheduler scheduler(options);
+    auto done = std::async(std::launch::async,
+                           [&] { return scheduler.run(fleet, pool); });
+    if (done.wait_for(std::chrono::seconds(60)) !=
+        std::future_status::ready) {
+        std::fprintf(stderr, "FrameScheduler::run did not return\n");
+        std::_Exit(1);
+    }
+    const ServeReport report = done.get();
+
+    EXPECT_EQ(report.workers, 2);
+    EXPECT_EQ(report.framesRendered(), 4 * kFrames);
+    ASSERT_EQ(report.sessions.size(), fleet.size());
+    for (std::size_t i = 0; i < fleet.size(); ++i)
+        EXPECT_EQ(report.sessions[i].checksum, base.checksums[i])
+            << "session " << i;
+}
+
 TEST(FrameScheduler, EmptyFleetReturnsEmptyReport)
 {
     std::vector<Session> fleet;
