@@ -53,7 +53,7 @@ usage(const char *argv0)
         "  --csv FILE        write per-job results as CSV\n"
         "  --json FILE       write per-job results as JSON\n"
         "  --trace FILE      write a Chrome/Perfetto trace-event JSON\n"
-        "                    of the sweep (empty with GCC3D_OBS=OFF)\n"
+        "                    of the sweep\n"
         "  --metrics-out FILE  write the observability block (stage\n"
         "                    summaries + metrics registry) as JSON\n"
         "  --quiet           suppress the per-job table\n",

@@ -88,7 +88,7 @@ usage(const char *argv0)
         "  --diurnal-period MS  (default: 1000)\n"
         "  --load-seed N     arrival-process seed (default: 1)\n"
         "  --admission       enable admission control (token bucket +\n"
-        "                    fairness + predictive shed)\n"
+        "                    fairness)\n"
         "  --admission-rate F   bucket refill in renders/s; 0 = no\n"
         "                    bucket (default: 0)\n"
         "  --admission-burst F  bucket capacity (default: 4)\n"
@@ -118,7 +118,7 @@ usage(const char *argv0)
         "  --json FILE       write the serve report as JSON\n"
         "  --trace FILE      write a Chrome/Perfetto trace-event JSON\n"
         "                    of the run (open in chrome://tracing or\n"
-        "                    ui.perfetto.dev; empty with GCC3D_OBS=OFF)\n"
+        "                    ui.perfetto.dev)\n"
         "  --metrics-out FILE  write the observability block (stage\n"
         "                    summaries + metrics registry) as JSON\n"
         "  --quiet           suppress the per-session table\n",

@@ -119,7 +119,7 @@ usage(const char *argv0)
         "  --out FILE       JSON output path (default:\n"
         "                   BENCH_frame.json; '-' disables)\n"
         "  --trace FILE     write a Chrome/Perfetto trace-event JSON\n"
-        "                   of the run (empty with GCC3D_OBS=OFF)\n"
+        "                   of the run\n"
         "  --metrics-out FILE  write stage summaries + metrics\n"
         "                   registry as JSON\n",
         argv0);

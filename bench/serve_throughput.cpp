@@ -90,8 +90,7 @@ usage(const char *argv0)
         "  --out FILE       JSON output path (default:\n"
         "                   BENCH_serve.json; '-' disables)\n"
         "  --trace FILE     write a Chrome/Perfetto trace-event JSON\n"
-        "                   of the whole run (empty with\n"
-        "                   GCC3D_OBS=OFF)\n",
+        "                   of the whole run\n",
         argv0);
 }
 
@@ -651,7 +650,7 @@ main(int argc, char **argv)
              << (overload_ok ? "true" : "false") << "}";
     }
     // Per-stage summaries + metrics registry for the whole run (all
-    // policies combined).  Empty objects when GCC3D_OBS=OFF.
+    // policies combined).
     json << ",\n  \"observability\": " << obs::observabilityJson();
     json << ",\n  \"checksums_ok\": " << (all_ok ? "true" : "false")
          << "\n}\n";

@@ -205,7 +205,7 @@ class ResidencyManager
     std::size_t budget_;  ///< immutable after construction
 
     /** Registry mirrors of stats_, cached at construction (lock-free
-     *  updates; no-ops when observability is compiled out). */
+     *  updates). */
     obs::Counter &obs_hits_;
     obs::Counter &obs_faults_;
     obs::Counter &obs_evictions_;

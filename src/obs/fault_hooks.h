@@ -13,9 +13,9 @@
  * production code ever sees) `faultAt` is a single relaxed atomic
  * load returning "no fault" — zero allocation, zero branches taken.
  *
- * Unlike the metrics stubs this seam is *not* gated on GCC3D_OBS:
- * fault injection is behavioral, not observational, and the retry
- * paths it exercises must compile identically in every build.
+ * Unlike the recorder this seam has no runtime off switch: fault
+ * injection is behavioral, not observational, and the retry paths it
+ * exercises run the same code whether or not anything records.
  */
 
 #ifndef GCC3D_OBS_FAULT_HOOKS_H

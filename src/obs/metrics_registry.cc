@@ -5,8 +5,6 @@
 
 namespace gcc3d::obs {
 
-#if GCC3D_OBS_ENABLED
-
 MetricsRegistry &
 MetricsRegistry::global()
 {
@@ -108,37 +106,5 @@ MetricsRegistry::toJson() const
     os << (first ? "}" : "\n  }") << "}";
     return os.str();
 }
-
-#else // !GCC3D_OBS_ENABLED
-
-MetricsRegistry &
-MetricsRegistry::global()
-{
-    static MetricsRegistry registry;
-    return registry;
-}
-
-Counter &
-MetricsRegistry::counter(const std::string &)
-{
-    static Counter dummy;
-    return dummy;
-}
-
-Gauge &
-MetricsRegistry::gauge(const std::string &)
-{
-    static Gauge dummy;
-    return dummy;
-}
-
-Histogram &
-MetricsRegistry::histogram(const std::string &)
-{
-    static Histogram dummy;
-    return dummy;
-}
-
-#endif // GCC3D_OBS_ENABLED
 
 } // namespace gcc3d::obs

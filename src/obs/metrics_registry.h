@@ -18,8 +18,6 @@
  * on hot paths cache the returned reference (constructor member, or a
  * function-local static) — references stay valid for the registry's
  * lifetime.
- *
- * With GCC3D_OBS=OFF every type is a no-op stub; see obs_config.h.
  */
 
 #ifndef GCC3D_OBS_METRICS_REGISTRY_H
@@ -34,7 +32,6 @@
 #include <memory>
 #include <string>
 
-#include "obs/obs_config.h"
 #include "runtime/mutex.h"
 #include "runtime/thread_annotations.h"
 
@@ -76,8 +73,6 @@ struct HistogramBuckets
                    : std::exp2(kMinExp + i);
     }
 };
-
-#if GCC3D_OBS_ENABLED
 
 /** Monotonic event count. */
 class Counter
@@ -283,59 +278,6 @@ class MetricsRegistry
     std::map<std::string, std::unique_ptr<Histogram>> histograms_
         GUARDED_BY(mutex_);
 };
-
-#else // !GCC3D_OBS_ENABLED — no-op stubs, identical signatures.
-
-class Counter
-{
-  public:
-    void add(std::int64_t = 1) {}
-    std::int64_t value() const { return 0; }
-    void reset() {}
-};
-
-class Gauge
-{
-  public:
-    void set(double) {}
-    std::int64_t count() const { return 0; }
-    double last() const { return 0.0; }
-    double sum() const { return 0.0; }
-    double mean() const { return 0.0; }
-    double min() const { return 0.0; }
-    double max() const { return 0.0; }
-    void reset() {}
-};
-
-class Histogram : public HistogramBuckets
-{
-  public:
-    void record(double) {}
-    std::int64_t count() const { return 0; }
-    double sum() const { return 0.0; }
-    double mean() const { return 0.0; }
-    std::int64_t bucketCount(int) const { return 0; }
-    void reset() {}
-};
-
-class MetricsRegistry
-{
-  public:
-    static MetricsRegistry &global();
-
-    Counter &counter(const std::string &);
-    Gauge &gauge(const std::string &);
-    Histogram &histogram(const std::string &);
-    void resetAll() {}
-
-    std::string
-    toJson() const
-    {
-        return "{\"counters\": {}, \"gauges\": {}, \"histograms\": {}}";
-    }
-};
-
-#endif // GCC3D_OBS_ENABLED
 
 } // namespace gcc3d::obs
 

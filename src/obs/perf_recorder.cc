@@ -27,9 +27,8 @@ treeSum(const double *v, std::size_t n)
 
 /** Sort key making a sample multiset's merge order distribution-
  *  independent: value fields only, no thread or wall-clock terms
- *  (equal-key duplicates are interchangeable for summation).  Unused
- *  when GCC3D_OBS=OFF compiles the recorder out. */
-[[maybe_unused]] bool
+ *  (equal-key duplicates are interchangeable for summation). */
+bool
 mergeKeyLess(const PerfSample &a, const PerfSample &b)
 {
     if (a.stage != b.stage)
@@ -73,8 +72,6 @@ perfSummaryJson(const PerfSummary &summary)
     os << (first ? "}" : "\n  }") << "}";
     return os.str();
 }
-
-#if GCC3D_OBS_ENABLED
 
 namespace {
 
@@ -269,16 +266,5 @@ FrameTag::~FrameTag()
 {
     currentTag() = saved_;
 }
-
-#else // !GCC3D_OBS_ENABLED
-
-PerfRecorder &
-PerfRecorder::global()
-{
-    static PerfRecorder recorder;
-    return recorder;
-}
-
-#endif // GCC3D_OBS_ENABLED
 
 } // namespace gcc3d::obs

@@ -40,9 +40,9 @@
  * joining its workers, and the future/join that establishes
  * quiescence also publishes the ring contents.
  *
- * With GCC3D_OBS=OFF every type below is an empty stub with the same
- * signatures; see obs_config.h.  tickNow() stays real in both builds:
- * it is the sanctioned pass-through clock read for *behavioral*
+ * PerfRecorder::setEnabled(false) is the one off switch: it stops
+ * recording, while PerfScope/StageTimer sinks still fill StageTimes.
+ * tickNow() is the sanctioned pass-through clock read for *behavioral*
  * timing (scheduler pacing, pool queue-wait stamps) — the gsc_lint
  * `recorder` rule bans raw monotonicNow()/msSince() calls outside
  * src/obs/ so all timing funnels through here.
@@ -60,7 +60,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/obs_config.h"
 #include "obs/stage.h"
 #include "runtime/mutex.h"
 #include "runtime/thread_annotations.h"
@@ -117,8 +116,6 @@ struct PerfSummary
 
 /** {"stages": {...}, "recorded": N, "retained": N} */
 std::string perfSummaryJson(const PerfSummary &summary);
-
-#if GCC3D_OBS_ENABLED
 
 class PerfRecorder
 {
@@ -262,49 +259,6 @@ class StageTimer
   private:
     MonoTime mark_;
 };
-
-#else // !GCC3D_OBS_ENABLED — no-op stubs, identical signatures.
-
-class PerfRecorder
-{
-  public:
-    static constexpr std::size_t kDefaultRingCapacity = 16384;
-    static constexpr std::size_t kHistory = 32;
-
-    explicit PerfRecorder(std::size_t = kDefaultRingCapacity) {}
-
-    static PerfRecorder &global();
-
-    void setEnabled(bool) {}
-    bool enabled() const { return false; }
-    void record(Stage, MonoTime, double) {}
-    void addSample(Stage, double, SampleTag = {}) {}
-    PerfSummary summary() const { return {}; }
-    std::vector<PerfSample> samples() const { return {}; }
-    void reset() {}
-    std::size_t ringCapacity() const { return 0; }
-};
-
-class FrameTag
-{
-  public:
-    FrameTag(std::int32_t, std::int32_t) {}
-};
-
-class PerfScope
-{
-  public:
-    explicit PerfScope(Stage, double * = nullptr) {}
-};
-
-class StageTimer
-{
-  public:
-    StageTimer() {}  // user-provided: a no-op timer is not "unused"
-    void lap(Stage, double * = nullptr) {}
-};
-
-#endif // GCC3D_OBS_ENABLED
 
 } // namespace gcc3d::obs
 

@@ -15,8 +15,9 @@
  * helpers return strings and the caller (app/bench) writes the file —
  * typically via runtime/result_table.h.
  *
- * In a GCC3D_OBS=OFF build the recorder retains nothing, so both
- * helpers return valid-but-empty documents.
+ * When the recorder retains nothing (e.g. it was switched off with
+ * PerfRecorder::setEnabled(false)), both helpers return
+ * valid-but-empty documents.
  */
 
 #ifndef GCC3D_OBS_TRACE_EXPORT_H

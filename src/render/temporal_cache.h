@@ -44,7 +44,6 @@
 #define GCC3D_RENDER_TEMPORAL_CACHE_H
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "render/image.h"
@@ -62,16 +61,6 @@ struct TemporalOptions
      * exactly and warps the in-between frames from it (tier 3).
      */
     int every = 1;
-
-    /**
-     * Warp trust region: an in-between frame whose camera moved
-     * farther than this from the last exact frame (translation in
-     * world units, rotation in radians) is rendered exactly instead
-     * of warped, resetting the cadence.  Infinite by default (the
-     * bench trajectories control their own step sizes).
-     */
-    float max_warp_translation = std::numeric_limits<float>::infinity();
-    float max_warp_rotation = std::numeric_limits<float>::infinity();
 
     /**
      * Maintain the tier-3 warp source (exact image snapshot + depth

@@ -587,40 +587,32 @@ TileRenderer::renderTemporal(const GaussianCloud &cloud,
         return cache.image_;
     }
 
-    // ---- Tier 3: synthesize by reprojection unless the cadence or
-    // the trust region demands an exact frame.  force_warp asks for
-    // a synthesized frame outside the cadence (degradation ladder);
-    // it still honors the trust region and falls through to exact
-    // rendering when no valid warp source exists. ----
+    // ---- Tier 3: synthesize by reprojection unless the cadence
+    // demands an exact frame.  force_warp asks for a synthesized
+    // frame outside the cadence (degradation ladder); it falls
+    // through to exact rendering when no valid warp source exists. ----
     if (cache.exact_valid_ &&
         (force_warp ||
          (cache.options.every > 1 && cache.warp_phase_ > 0))) {
-        const CameraDelta d = cameraDelta(cache.exact_camera_, cam);
-        if (d.translation <= cache.options.max_warp_translation &&
-            d.rotation_rad <= cache.options.max_warp_rotation) {
-            if (cache.warp_cached_ &&
-                camerasBitIdentical(cache.warp_camera_, cam)) {
-                ++tc.copied_frames;
-                return cache.warp_image_;
-            }
-            Image out;
-            {
-                obs::PerfScope warp_scope(obs::Stage::Warp,
-                                          &stats.stage.warp_ms);
-                out = warpFromExact(cache.exact_camera_,
-                                    cache.exact_image_,
-                                    cache.depth_, cam);
-            }
-            ++tc.warped_frames;
-            if (cache.warp_phase_ > 0)
-                --cache.warp_phase_;
-            cache.warp_cached_ = true;
-            cache.warp_camera_ = cam;
-            cache.warp_image_ = out;
-            return out;
+        if (cache.warp_cached_ &&
+            camerasBitIdentical(cache.warp_camera_, cam)) {
+            ++tc.copied_frames;
+            return cache.warp_image_;
         }
-        // Camera moved past the trust region: render exactly below,
-        // which also resets the warp cadence.
+        Image out;
+        {
+            obs::PerfScope warp_scope(obs::Stage::Warp,
+                                      &stats.stage.warp_ms);
+            out = warpFromExact(cache.exact_camera_, cache.exact_image_,
+                                cache.depth_, cam);
+        }
+        ++tc.warped_frames;
+        if (cache.warp_phase_ > 0)
+            --cache.warp_phase_;
+        cache.warp_cached_ = true;
+        cache.warp_camera_ = cam;
+        cache.warp_image_ = out;
+        return out;
     }
 
     // ---- Exact frame: preprocess + SoA (identical to render()). ----

@@ -151,10 +151,9 @@ class TileRenderer
      * @p force_warp asks for a synthesized frame regardless of the
      * every-k cadence (the serving degradation ladder's warp tier;
      * requires cache.options.keep_exact or every > 1 so a warp
-     * source exists).  Best-effort: if no exact source is valid yet
-     * or the camera left the trust region, the frame renders exactly
-     * instead — callers detect which path served the frame via
-     * cache.counters().warped_frames.
+     * source exists).  Best-effort: if no exact source is valid yet,
+     * the frame renders exactly instead — callers detect which path
+     * served the frame via cache.counters().warped_frames.
      */
     Image renderTemporal(const GaussianCloud &cloud, const Camera &cam,
                          StandardFlowStats &stats, TemporalCache &cache,

@@ -133,8 +133,8 @@ SweepRunner::runJob(const SimJob &job, const SceneData &scene)
         static_cast<std::size_t>(job.frame));
 
     // wall_ms is bench output (BENCH_*.json), so it reads the
-    // behavioral clock — real in GCC3D_OBS=OFF builds; the recorder
-    // sample below is the observability copy.
+    // behavioral clock — real with the recorder switched off; the
+    // recorder sample below is the observability copy.
     const MonoTime start = obs::tickNow();
     switch (job.backend) {
     case Backend::Gcc: {

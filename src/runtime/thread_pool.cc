@@ -136,7 +136,6 @@ ThreadPool::post(std::function<void()> task)
         MutexLock lock(mutex_);
         if (stopping_)
             return false;
-#if GCC3D_OBS_ENABLED
         // Stamp the enqueue so the dequeuing worker can record how
         // long the task sat in the queue.
         const MonoTime enqueued = obs::tickNow();
@@ -147,9 +146,6 @@ ThreadPool::post(std::function<void()> task)
         });
         obs_tasks_.add();
         obs_depth_.set(static_cast<double>(queue_.size()));
-#else
-        queue_.push(std::move(task));
-#endif
     }
     cv_.notifyOne();
     return true;

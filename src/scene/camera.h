@@ -180,7 +180,7 @@ struct CameraDelta
  * Pose delta from @p a to @p b: the camera-center displacement and
  * the geodesic rotation angle between the two view orientations
  * (angle of the relative rotation R_b R_a^T, via its trace).  Used by
- * Trajectory's step-size accessors and the temporal warp trust region.
+ * Trajectory's step-size accessors.
  */
 inline CameraDelta
 cameraDelta(const Camera &a, const Camera &b)

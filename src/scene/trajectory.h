@@ -35,8 +35,8 @@ class Trajectory
 
     /**
      * Pose change from frame @p i to frame i+1 (@p i in
-     * [0, frameCount() - 2]): the inputs to temporal-cache
-     * invalidation heuristics and warp trust regions.
+     * [0, frameCount() - 2]): the input to temporal-cache
+     * invalidation heuristics.
      */
     CameraDelta
     stepDelta(std::size_t i) const

@@ -129,7 +129,7 @@ renderSerial(const std::vector<Session> &sessions)
     for (const Session &s : sessions)
         s.resetTemporal();
     // wall_ms feeds fleet_fps (a report field, not a perf sample), so
-    // it reads the behavioral clock — real in GCC3D_OBS=OFF builds.
+    // it reads the behavioral clock — real with the recorder off.
     const MonoTime start = obs::tickNow();
     int rendered = 0;
     for (const Session &s : sessions) {

@@ -24,6 +24,9 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
  *  full preprocess, coarse LOD ~ a proxy-heavy cut. */
 constexpr double kTierCostPrior[4] = {1.0, 0.25, 0.4, 0.5};
 
+/** A degradation tier fits when predicted_ms <= slack × kTierSafety. */
+constexpr double kTierSafety = 0.9;
+
 } // namespace
 
 std::string
@@ -416,12 +419,6 @@ FrameScheduler::run(const std::vector<Session> &sessions, ThreadPool &pool)
                 else
                     shed = ShedReason::Admission;
             }
-            // Predictive shed: slack below the predicted Full cost.
-            // Only when no ladder can soften the frame: a hopeless
-            // Full render is better degraded than dropped.
-            if (shed == ShedReason::None && !options_.degrade.enabled &&
-                slack < picked->predictedMs(DegradeTier::Full))
-                shed = ShedReason::Admission;
         }
 
         if (shed == ShedReason::None && options_.degrade.enabled &&
@@ -435,7 +432,7 @@ FrameScheduler::run(const std::vector<Session> &sessions, ThreadPool &pool)
                     !picked->session->tierAvailable(cand))
                     continue;
                 if (picked->predictedMs(cand) <=
-                    slack * options_.degrade.safety) {
+                    slack * kTierSafety) {
                     tier = cand;
                     shed = ShedReason::None;
                     break;

@@ -69,11 +69,12 @@ SchedulerPolicy schedulerPolicyFromName(const std::string &name);
 /**
  * Admission control, layered on (and strictly earlier than) the
  * --drop-late shed: where drop_late reacts to a deadline that has
- * already passed, admission control sheds frames that are *predicted*
- * hopeless before they burn a worker, caps the aggregate render rate
- * with a token bucket, and keeps one hot session from starving the
- * fleet when resources are scarce.  All gates apply only to
- * deadline-bearing frames; best-effort sessions are never shed.
+ * already passed, admission control caps the aggregate render rate
+ * with a token bucket and keeps one hot session from starving the
+ * fleet when resources are scarce.  Frames whose slack cannot fit a
+ * Full render are left to the degradation ladder (DegradeOptions).
+ * All gates apply only to deadline-bearing frames; best-effort
+ * sessions are never shed.
  */
 struct AdmissionOptions
 {
@@ -110,9 +111,6 @@ struct AdmissionOptions
 struct DegradeOptions
 {
     bool enabled = false;
-
-    /** A tier fits when predicted_ms <= slack × safety. */
-    double safety = 0.9;
 };
 
 /** Execution knobs of a serving run. */

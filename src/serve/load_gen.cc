@@ -17,8 +17,7 @@ std::vector<SessionArrival>
 generateArrivals(const LoadGenConfig &config)
 {
     std::vector<SessionArrival> arrivals;
-    const double rate_hz =
-        std::max(0.0, config.base_rate_hz * config.rate_multiplier);
+    const double rate_hz = std::max(0.0, config.base_rate_hz);
     if (rate_hz <= 0.0 || config.duration_ms <= 0.0) return arrivals;
 
     const double amplitude =

@@ -29,7 +29,6 @@ struct LoadGenConfig
 {
     std::uint64_t seed = 1;
     double base_rate_hz = 4.0;       ///< mean arrival rate at envelope = 1
-    double rate_multiplier = 1.0;    ///< offered-load sweep knob
     double duration_ms = 2000.0;     ///< arrival window (sessions may outlive it)
     double diurnal_amplitude = 0.0;  ///< [0,1): rate swings ±amplitude
     double diurnal_period_ms = 1000.0;

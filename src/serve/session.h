@@ -149,9 +149,8 @@ struct SessionConfig
  * Per-stage cost breakdown of one rendered frame, the evidence SLO
  * miss attribution (serve/slo_attribution.h) argmaxes over.  Filled
  * by Session::renderFrame from the renderer's StageTimes plus the
- * session-level LOD cut build; all zeros when the frame was dropped
- * or the observability hooks are compiled out (GCC3D_OBS=OFF), in
- * which case misses attribute to queue wait or "unknown".
+ * session-level LOD cut build; all zeros when the frame was dropped,
+ * in which case the miss attributes to queue wait.
  */
 struct FrameStageCost
 {
@@ -242,7 +241,7 @@ class Session
     /**
      * Render frame @p frame at the requested ladder tier.  Best
      * effort: a Warp request without a valid warp source (first
-     * frame, trust region exceeded) renders Full instead, and an
+     * frame) renders Full instead, and an
      * unavailable tier falls back to Full; @p served (may be null)
      * reports the tier actually delivered.  Degraded tiers are
      * stateless — they never advance the temporal cache, so the

@@ -9,8 +9,7 @@
  * pure queueing (it never rendered); a rendered-but-late frame is
  * charged to the largest entry of {queue wait, preprocess, binning,
  * raster, warp, decode}.  Unknown only appears when every component
- * measured <= 0 — e.g. a GCC3D_OBS=OFF build where the stage costs
- * read zero — and the serve report tracks the named fraction so a
+ * measured <= 0, and the serve report tracks the named fraction so a
  * regression to "unknown" is visible.
  */
 

@@ -286,9 +286,9 @@ TEST(LoadGen, ArrivalTableIsDeterministicAndWellFormed)
     }
     EXPECT_EQ(serve::totalOfferedFrames(a), frames);
 
-    // The sweep knob scales the offered load.
+    // A higher base rate scales the offered load.
     LoadGenConfig heavier = cfg;
-    heavier.rate_multiplier = 3.0;
+    heavier.base_rate_hz = 3.0 * cfg.base_rate_hz;
     EXPECT_GT(serve::generateArrivals(heavier).size(), a.size());
 
     // A different seed reshuffles the timeline.

@@ -1,9 +1,7 @@
 // Observability layer tests: histogram bucket edges, deterministic
 // cross-thread summary merges, ring wraparound, frame tagging, the
 // runtime kill switch, trace export shape, and SLO miss
-// classification.  The recording tests are compiled only when the
-// hooks are (GCC3D_OBS=ON); the disabled build instead locks the
-// stubs to their documented no-op behavior.
+// classification.
 
 #include <gtest/gtest.h>
 
@@ -17,13 +15,16 @@
 #include "obs/metrics_registry.h"
 #include "obs/perf_recorder.h"
 #include "obs/trace_export.h"
+#include "render/gaussian_wise_renderer.h"
+#include "render/tile_renderer.h"
 #include "serve/slo_attribution.h"
+#include "test_util.h"
 
 namespace {
 
 using namespace gcc3d;
 
-// ---- Histogram bucket layout (both builds: the layout is shared) ----
+// ---- Histogram bucket layout ----
 
 TEST(ObsHistogramBuckets, EdgeValuesLandInDocumentedBuckets)
 {
@@ -54,7 +55,7 @@ TEST(ObsHistogramBuckets, ValuesFallInsideTheirBucketBounds)
     EXPECT_TRUE(std::isinf(B::bucketUpperBound(B::kBuckets - 1)));
 }
 
-// ---- SLO miss classification (both builds: pure logic) ----
+// ---- SLO miss classification ----
 
 FrameRecord
 missWith(double queue_wait, double pre, double bin, double raster,
@@ -128,9 +129,7 @@ TEST(SloAttribution, NamedFractionCountsNonUnknownMisses)
     EXPECT_NE(json.find("\"named_fraction\": 0.8"), std::string::npos);
 }
 
-#if GCC3D_OBS_ENABLED
-
-// ---- Recorder behavior (enabled builds) ----
+// ---- Recorder behavior ----
 
 /** Fixed tagged sample set whose summary must not depend on how the
  *  samples were distributed across recording threads. */
@@ -366,36 +365,33 @@ TEST(ObsMetricsRegistry, InstrumentsAccumulateAndExport)
     EXPECT_EQ(h.count(), 0);
 }
 
-#else // !GCC3D_OBS_ENABLED
+// ---- Runtime off switch ----
 
-// ---- Disabled build: every hook is a documented no-op ----
-
-TEST(ObsDisabled, StubsAreInertAndExportsAreEmpty)
+/** setEnabled(false) stops recording only: the renderers' StageTimes
+ *  sinks keep filling, so per-stage attribution never reads zero. */
+TEST(ObsRuntimeSwitch, DisabledRecorderStillFillsStageTimes)
 {
+    const SceneSpec spec = test::tinySpec(31, 2000);
+    const GaussianCloud cloud = generateScene(spec, 1.0f);
+    const Camera cam = makeCamera(spec);
+
     obs::PerfRecorder &recorder = obs::PerfRecorder::global();
-    EXPECT_FALSE(recorder.enabled());
-    recorder.addSample(obs::Stage::Raster, 2.0);
-    {
-        obs::PerfScope scope(obs::Stage::Raster);
-        obs::StageTimer timer;
-        timer.lap(obs::Stage::Binning);
-        obs::FrameTag tag(1, 2);
-    }
-    EXPECT_EQ(recorder.summary().recorded, 0u);
-    EXPECT_TRUE(recorder.samples().empty());
-    EXPECT_EQ(recorder.ringCapacity(), 0u);
+    recorder.setEnabled(false);
+    const std::uint64_t before = recorder.summary().recorded;
 
-    obs::Counter &c = obs::MetricsRegistry::global().counter("x");
-    c.add(7);
-    EXPECT_EQ(c.value(), 0);
+    StandardFlowStats tile;
+    TileRenderer().render(cloud, cam, tile);
+    GaussianWiseStats gw;
+    GaussianWiseRenderer().render(cloud, cam, gw);
 
-    const std::string trace = obs::traceJson();
-    EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
-    const std::string metrics =
-        obs::MetricsRegistry::global().toJson();
-    EXPECT_NE(metrics.find("\"counters\": {}"), std::string::npos);
+    const std::uint64_t after = recorder.summary().recorded;
+    recorder.setEnabled(true);
+
+    EXPECT_GT(tile.stage.preprocess_ms, 0.0);
+    EXPECT_GT(tile.stage.raster_ms, 0.0);
+    EXPECT_GT(gw.stage.preprocess_ms, 0.0);
+    EXPECT_GT(gw.stage.raster_ms, 0.0);
+    EXPECT_EQ(after, before);
 }
-
-#endif // GCC3D_OBS_ENABLED
 
 } // namespace

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "obs/metrics_registry.h"
-#include "obs/obs_config.h"
 #include "runtime/parallel_for.h"
 #include "runtime/result_table.h"
 #include "runtime/sweep_runner.h"
@@ -660,13 +659,11 @@ TEST(ParallelFor, CallerRunsChunksBesideIdleWorkers)
     ASSERT_EQ(expected.size(), 4u);
     std::vector<std::pair<std::size_t, std::size_t>> seen(expected.size());
     std::vector<std::thread::id> ran_on(expected.size());
-#if GCC3D_OBS_ENABLED
     obs::MetricsRegistry &reg = obs::MetricsRegistry::global();
     const std::int64_t fanout0 =
         reg.counter("runtime.pool.fanout_chunks").value();
     const std::int64_t helped0 =
         reg.counter("runtime.pool.helped_chunks").value();
-#endif
     forEachChunk(&pool, kN, kGrain,
                  [&](std::size_t c, std::size_t begin, std::size_t end) {
                      seen[c] = {begin, end};
@@ -679,12 +676,10 @@ TEST(ParallelFor, CallerRunsChunksBesideIdleWorkers)
     const auto by_caller = std::count(ran_on.begin(), ran_on.end(),
                                       std::this_thread::get_id());
     EXPECT_GE(by_caller, 1);
-#if GCC3D_OBS_ENABLED
     EXPECT_EQ(reg.counter("runtime.pool.fanout_chunks").value() - fanout0,
               static_cast<std::int64_t>(expected.size()));
     EXPECT_EQ(reg.counter("runtime.pool.helped_chunks").value() - helped0,
               static_cast<std::int64_t>(expected.size()) - by_caller);
-#endif
 }
 
 } // namespace

@@ -11,7 +11,6 @@
 
 #include "obs/fault_hooks.h"
 #include "obs/metrics_registry.h"
-#include "obs/obs_config.h"
 #include "scene/scene_io.h"
 #include "test_util.h"
 
@@ -567,12 +566,10 @@ TEST(SceneIo, InjectedCacheFaultsRetryThenFallBackToGeneration)
     // Persistent fault: every attempt fails, the retry budget
     // exhausts, and the scene is regenerated in memory — the call
     // still succeeds and the cache file is repaired on the way out.
-#if GCC3D_OBS_ENABLED
     const std::int64_t fallbacks_before =
         obs::MetricsRegistry::global()
             .counter("scene.io.cache_fallbacks")
             .value();
-#endif
     {
         SceneReadFaulter inj;
         inj.fail_first = 1 << 20;
@@ -585,12 +582,10 @@ TEST(SceneIo, InjectedCacheFaultsRetryThenFallBackToGeneration)
     }
     // The repair rewrote the cache: the marker is gone on disk.
     EXPECT_EQ(loadCloudFile(path)[0].opacity, fresh[0].opacity);
-#if GCC3D_OBS_ENABLED
     EXPECT_GT(obs::MetricsRegistry::global()
                   .counter("scene.io.cache_fallbacks")
                   .value(),
               fallbacks_before);
-#endif
 
     std::filesystem::remove_all(dir);
 }

@@ -23,7 +23,6 @@
 
 #include "lod/lod_builder.h"
 #include "obs/fault_hooks.h"
-#include "obs/obs_config.h"
 #include "serve/fleet.h"
 #include "serve/frame_scheduler.h"
 #include "serve/load_gen.h"
@@ -322,13 +321,9 @@ TEST(FrameScheduler, MissAttributionNamesOverloadMisses)
 
     MissAttribution fleet_attribution = report.missAttribution();
     EXPECT_EQ(fleet_attribution.total(), 4 * 2);
-#if GCC3D_OBS_ENABLED
     // The acceptance bar: >= 90% of overload misses carry a real
-    // component name.  (With observability compiled out the stage
-    // costs read zero and classification may fall back to queue wait
-    // or Unknown, so the bar only binds in instrumented builds.)
+    // component name.
     EXPECT_GE(fleet_attribution.namedFraction(), 0.9);
-#endif
 
     // Per-session attributions roll up to the fleet total.
     std::int64_t session_total = 0;
@@ -664,10 +659,9 @@ TEST(Serve, OpenLoopFleetFollowsTheArrivalTable)
 
 TEST(FrameScheduler, AdmissionTokenBucketShedsWhenExhausted)
 {
-    // An effectively non-refilling bucket with one token, and roomy
-    // deadlines (so the predictive hopeless-slack gate stays out of
-    // the way): exactly one frame renders; every later
-    // deadline-bearing frame is shed with ShedReason::Admission.
+    // An effectively non-refilling bucket with one token: exactly one
+    // frame renders; every later deadline-bearing frame is shed with
+    // ShedReason::Admission.
     FleetSpec spec = tinyFleet(2, 3);
     spec.fps_target = 5.0;  // 200 ms of slack: only the bucket sheds
     SceneRegistry registry;
@@ -734,7 +728,7 @@ TEST(FrameScheduler, AdmissionFairnessYieldsTheHotSession)
 
 TEST(FrameScheduler, BestEffortSessionsAreNeverShedOrDegraded)
 {
-    // Every gate (admission, fairness, predictive shed, the ladder)
+    // Every gate (admission, fairness, the ladder)
     // applies only to deadline-bearing frames: a best-effort fleet
     // under the most aggressive settings still renders everything at
     // Full, bit-identical to serial.
