@@ -15,120 +15,66 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "obs/trace_export.h"
+#include "runtime/flags.h"
 #include "runtime/result_table.h"
 #include "runtime/sweep_runner.h"
 #include "scene/scene_presets.h"
 
-namespace {
-
 using namespace gcc3d;
 using gcc3d::bench::splitList;
-
-void
-usage(const char *argv0)
-{
-    std::printf(
-        "usage: %s [options]\n"
-        "  --scenes LIST     comma-separated scene names, or 'all'\n"
-        "                    (palace, lego, train, truck, playroom,\n"
-        "                    drjohnson; default: lego)\n"
-        "  --backends LIST   subset of gcc,gscore,gpu (default:\n"
-        "                    gcc,gscore)\n"
-        "  --frames N        trajectory frames per scene (default: 1)\n"
-        "  --scale F         population scale in (0,1] (default:\n"
-        "                    GCC3D_SCALE env or 1.0)\n"
-        "  --workers N       worker threads; 0 = all hardware threads\n"
-        "                    (default: 0)\n"
-        "  --buffer-kb LIST  GCC image-buffer capacity sweep (KB);\n"
-        "                    each value becomes a config variant\n"
-        "  --cache-dir DIR   .gsc scene cache; repeated runs skip\n"
-        "                    scene generation (results unchanged)\n"
-        "  --csv FILE        write per-job results as CSV\n"
-        "  --json FILE       write per-job results as JSON\n"
-        "  --trace FILE      write a Chrome/Perfetto trace-event JSON\n"
-        "                    of the sweep\n"
-        "  --metrics-out FILE  write the observability block (stage\n"
-        "                    summaries + metrics registry) as JSON\n"
-        "  --quiet           suppress the per-job table\n",
-        argv0);
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
+    SweepSpec spec;
+    spec.scale = bench::benchScale();
     std::string scenes_arg = "lego";
     std::string backends_arg = "gcc,gscore";
-    std::string buffer_arg;
+    std::vector<double> buffer_kb;
     std::string cache_dir;
     std::string csv_path;
     std::string json_path;
     std::string trace_path;
     std::string metrics_path;
-    int frames = 1;
     int workers = 0;
-    float scale = benchScale();
     bool quiet = false;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string flag = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n", flag.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (flag == "--help" || flag == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else if (flag == "--scenes") {
-            scenes_arg = value();
-        } else if (flag == "--backends") {
-            backends_arg = value();
-        } else if (flag == "--frames") {
-            frames = std::atoi(value().c_str());
-        } else if (flag == "--scale") {
-            scale = static_cast<float>(std::atof(value().c_str()));
-        } else if (flag == "--workers") {
-            workers = std::atoi(value().c_str());
-        } else if (flag == "--buffer-kb") {
-            buffer_arg = value();
-        } else if (flag == "--cache-dir") {
-            cache_dir = value();
-        } else if (flag == "--csv") {
-            csv_path = value();
-        } else if (flag == "--json") {
-            json_path = value();
-        } else if (flag == "--trace") {
-            trace_path = value();
-        } else if (flag == "--metrics-out") {
-            metrics_path = value();
-        } else if (flag == "--quiet") {
-            quiet = true;
-        } else {
-            std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-            usage(argv[0]);
-            return 2;
-        }
-    }
-    if (frames < 1 || scale <= 0.0f || scale > 1.0f) {
-        std::fprintf(stderr,
-                     "--frames must be >= 1 and --scale in (0, 1]\n");
-        return 2;
-    }
+    flags::Parser cli;
+    cli.add("--scenes LIST", &scenes_arg,
+            "comma-separated scene names, or 'all' (palace, lego, train, "
+            "truck, playroom, drjohnson)");
+    cli.add("--backends LIST", &backends_arg, "subset of gcc,gscore,gpu");
+    cli.add("--frames N", &spec.frames, "trajectory frames per scene")
+        .min(1);
+    cli.add("--scale F", &spec.scale,
+            "population scale; GCC3D_SCALE sets the default")
+        .above(0).max(1);
+    cli.add("--workers N", &workers,
+            "worker threads; 0 = all hardware threads")
+        .min(0).max(bench::kMaxWorkers);
+    cli.add("--buffer-kb LIST", &buffer_kb,
+            "GCC image-buffer capacity sweep (KB); each value becomes a "
+            "config variant")
+        .above(0);
+    cli.add("--cache-dir DIR", &cache_dir,
+            ".gsc scene cache; repeated runs skip scene generation "
+            "(results unchanged)");
+    cli.add("--csv FILE", &csv_path, "write per-job results as CSV");
+    cli.add("--json FILE", &json_path, "write per-job results as JSON");
+    cli.add("--trace FILE", &trace_path,
+            "write a Chrome/Perfetto trace-event JSON of the sweep");
+    cli.add("--metrics-out FILE", &metrics_path,
+            "write the observability block (stage summaries + metrics "
+            "registry) as JSON");
+    cli.add("--quiet", &quiet, "suppress the per-job table");
+    cli.parseOrExit(argc, argv);
 
-    SweepSpec spec;
-    spec.frames = frames;
-    spec.scale = scale;
     try {
         for (SceneId id : bench::parseSceneList(scenes_arg))
             spec.addScene(id);
@@ -143,7 +89,7 @@ main(int argc, char **argv)
         std::fprintf(stderr, "empty scene or backend list\n");
         return 2;
     }
-    if (!buffer_arg.empty()) {
+    if (!buffer_kb.empty()) {
         // The buffer capacity only exists in GccConfig; crossing the
         // variants with other backends would re-run bit-identical
         // simulations once per value.
@@ -155,10 +101,12 @@ main(int argc, char **argv)
             spec.backends = {Backend::Gcc};
         }
         spec.variants.clear();
-        for (const std::string &kb : splitList(buffer_arg)) {
+        for (double kb : buffer_kb) {
+            char name[48];
+            std::snprintf(name, sizeof(name), "buf=%gKB", kb);
             ConfigVariant v;
-            v.name = "buf=" + kb + "KB";
-            v.gcc.image_buffer_kb = std::atof(kb.c_str());
+            v.name = name;
+            v.gcc.image_buffer_kb = kb;
             spec.variants.push_back(v);
         }
     }

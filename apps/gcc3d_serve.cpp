@@ -15,8 +15,8 @@
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <string>
 #include <vector>
@@ -24,112 +24,24 @@
 #include "bench_util.h"
 #include "lod/lod_builder.h"
 #include "obs/trace_export.h"
+#include "runtime/flags.h"
 #include "serve/fleet.h"
 #include "serve/frame_scheduler.h"
-
-namespace {
 
 using namespace gcc3d;
 using gcc3d::bench::splitList;
 
-void
-usage(const char *argv0)
-{
-    std::printf(
-        "usage: %s [options]\n"
-        "  --sessions N      concurrent client sessions (default: 8)\n"
-        "  --frames N        frames streamed per session (default: 8)\n"
-        "  --policy P        fifo | rr | edf (default: fifo)\n"
-        "  --renderers LIST  renderer mix, cycled across sessions;\n"
-        "                    subset of tile,gw (default: tile)\n"
-        "  --fps-target F    per-session FPS target; frames get EDF\n"
-        "                    deadlines and miss accounting (default: 0\n"
-        "                    = best effort)\n"
-        "  --drop-late       shed frames already past their deadline\n"
-        "                    at dispatch instead of rendering them\n"
-        "  --threads N       render workers; 0 = all hardware threads\n"
-        "                    (default: 0)\n"
-        "  --scenes LIST     comma-separated scene names or 'all',\n"
-        "                    cycled across sessions (default: lego)\n"
-        "  --subview N       Gaussian-wise Cmode sub-view side; 0 =\n"
-        "                    full view (default: 128)\n"
-        "  --scale F         population scale in (0,1] (default:\n"
-        "                    GCC3D_SCALE env or 1.0)\n"
-        "  --cache-dir DIR   .gsc scene cache; repeated runs skip\n"
-        "                    scene generation (results unchanged)\n"
-        "  --lod FILE        serve the .gsc v2 LOD scene at FILE under\n"
-        "                    the memory budget instead of generating\n"
-        "                    resident clouds (scene list still sets\n"
-        "                    the camera paths)\n"
-        "  --memory-budget M leaf-chunk residency budget in MiB\n"
-        "                    (default: 256)\n"
-        "  --lod-tau F       LOD cut angular threshold in radians\n"
-        "                    (default: 0.08; smaller = more detail)\n"
-        "  --city N          view the N-splat City corridor preset\n"
-        "                    (with --lod, a missing FILE is built by\n"
-        "                    the streamed LOD builder first)\n"
-        "  --temporal K      temporal coherence for tile resident-\n"
-        "                    cloud sessions: 0 = off, 1 = exact\n"
-        "                    incremental mode (bit-identical), K > 1\n"
-        "                    = render every K-th frame exactly and\n"
-        "                    reproject the rest (>= 40 dB contract)\n"
-        "                    (default: 0)\n"
-        "  --traj-arc F      fraction of each scene's camera path the\n"
-        "                    trajectories cover in the same frame\n"
-        "                    count (default: 1.0; temporal streams\n"
-        "                    use smaller arcs for headset-like steps)\n"
-        "  --open-loop R     open-loop serving: sessions arrive as a\n"
-        "                    Poisson process at R sessions/s instead\n"
-        "                    of all joining at t=0 (--sessions is\n"
-        "                    ignored; --frames caps session length)\n"
-        "  --duration MS     open-loop arrival window (default: 2000)\n"
-        "  --diurnal A       sinusoidal rate modulation amplitude in\n"
-        "                    [0, 1) over --diurnal-period ms\n"
-        "  --diurnal-period MS  (default: 1000)\n"
-        "  --load-seed N     arrival-process seed (default: 1)\n"
-        "  --admission       enable admission control (token bucket +\n"
-        "                    fairness)\n"
-        "  --admission-rate F   bucket refill in renders/s; 0 = no\n"
-        "                    bucket (default: 0)\n"
-        "  --admission-burst F  bucket capacity (default: 4)\n"
-        "  --admission-depth N  queue depth that counts as scarce\n"
-        "                    (default: 0 = off)\n"
-        "  --fair-share F    under scarcity, shed sessions holding\n"
-        "                    more than F x the fleet-average renders\n"
-        "                    (default: 0 = off)\n"
-        "  --degrade         enable the graceful-degradation ladder\n"
-        "                    (full -> warp -> half-res -> coarse LOD\n"
-        "                    -> drop, driven by measured slack)\n"
-        "  --degrade-scale F reduced-resolution tier multiplier in\n"
-        "                    (0, 1) (default: 0.5)\n"
-        "  --degrade-tau F   coarse-LOD tier tau multiplier >= 1\n"
-        "                    (default: 4)\n"
-        "  --chaos SEED      deterministic fault injection; 0 = off.\n"
-        "                    Same seed + same workload = same faults\n"
-        "  --chaos-io-fail R      scene .gsc read failure rate\n"
-        "  --chaos-io-truncate R  scene .gsc truncation rate\n"
-        "  --chaos-decode-fail R  LOD chunk decode failure rate\n"
-        "  --chaos-stall R        worker stall rate\n"
-        "  --chaos-stall-ms MS    stall duration (default: 5)\n"
-        "  --chaos-disconnect R   mid-stream disconnect rate\n"
-        "  --chaos-budget R       residency budget-pressure rate\n"
-        "  --chaos-log FILE  write the canonical chaos event log\n"
-        "                    (byte-identical for a fixed seed)\n"
-        "  --json FILE       write the serve report as JSON\n"
-        "  --trace FILE      write a Chrome/Perfetto trace-event JSON\n"
-        "                    of the run (open in chrome://tracing or\n"
-        "                    ui.perfetto.dev)\n"
-        "  --metrics-out FILE  write the observability block (stage\n"
-        "                    summaries + metrics registry) as JSON\n"
-        "  --quiet           suppress the per-session table\n",
-        argv0);
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
+    // Flags bind straight to the configs they set; each config's
+    // field initialiser is the default unless overridden here.
+    FleetSpec fleet_spec;
+    fleet_spec.scale = bench::benchScale();
+    fleet_spec.gw.subview_size = 128;
+    SchedulerOptions sched;
+    serve::LoadGenConfig load;
+    serve::ChaosConfig chaos_cfg;
     std::string scenes_arg = "lego";
     std::string renderers_arg = "tile";
     std::string policy_arg = "fifo";
@@ -137,188 +49,146 @@ main(int argc, char **argv)
     std::string json_path;
     std::string trace_path;
     std::string metrics_path;
-    std::string lod_path;
-    int sessions = 8;
-    int frames = 8;
-    int threads = 0;
-    int subview = 128;
-    double fps_target = 0.0;
-    double budget_mib = 256.0;
-    double lod_tau = 0.08;
-    long long city = 0;
-    int temporal = 0;
-    double traj_arc = 1.0;
-    bool drop_late = false;
-    bool quiet = false;
-    float scale = benchScale();
-    double open_loop_rate = 0.0;
-    double duration_ms = 2000.0;
-    double diurnal = 0.0;
-    double diurnal_period = 1000.0;
-    unsigned long long load_seed = 1;
-    bool admission = false;
-    double admission_rate = 0.0;
-    double admission_burst = 4.0;
-    int admission_depth = 0;
-    double fair_share = 0.0;
-    bool degrade = false;
-    double degrade_scale = 0.5;
-    double degrade_tau = 4.0;
-    unsigned long long chaos_seed = 0;
-    serve::ChaosConfig chaos_cfg;
     std::string chaos_log_path;
+    int threads = 0;
+    double budget_mib = 256.0;
+    std::uint64_t city = 0;
+    double open_loop_rate = 0.0;
+    bool quiet = false;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string flag = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n", flag.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (flag == "--help" || flag == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else if (flag == "--sessions") {
-            sessions = std::atoi(value().c_str());
-        } else if (flag == "--frames") {
-            frames = std::atoi(value().c_str());
-        } else if (flag == "--policy") {
-            policy_arg = value();
-        } else if (flag == "--renderers") {
-            renderers_arg = value();
-        } else if (flag == "--fps-target") {
-            fps_target = std::atof(value().c_str());
-        } else if (flag == "--drop-late") {
-            drop_late = true;
-        } else if (flag == "--threads") {
-            threads = std::atoi(value().c_str());
-        } else if (flag == "--scenes") {
-            scenes_arg = value();
-        } else if (flag == "--subview") {
-            subview = std::atoi(value().c_str());
-        } else if (flag == "--scale") {
-            scale = static_cast<float>(std::atof(value().c_str()));
-        } else if (flag == "--cache-dir") {
-            cache_dir = value();
-        } else if (flag == "--lod") {
-            lod_path = value();
-        } else if (flag == "--memory-budget") {
-            budget_mib = std::atof(value().c_str());
-        } else if (flag == "--lod-tau") {
-            lod_tau = std::atof(value().c_str());
-        } else if (flag == "--city") {
-            city = std::atoll(value().c_str());
-        } else if (flag == "--temporal") {
-            temporal = std::atoi(value().c_str());
-        } else if (flag == "--traj-arc") {
-            traj_arc = std::atof(value().c_str());
-        } else if (flag == "--open-loop") {
-            open_loop_rate = std::atof(value().c_str());
-        } else if (flag == "--duration") {
-            duration_ms = std::atof(value().c_str());
-        } else if (flag == "--diurnal") {
-            diurnal = std::atof(value().c_str());
-        } else if (flag == "--diurnal-period") {
-            diurnal_period = std::atof(value().c_str());
-        } else if (flag == "--load-seed") {
-            load_seed = std::strtoull(value().c_str(), nullptr, 10);
-        } else if (flag == "--admission") {
-            admission = true;
-        } else if (flag == "--admission-rate") {
-            admission_rate = std::atof(value().c_str());
-        } else if (flag == "--admission-burst") {
-            admission_burst = std::atof(value().c_str());
-        } else if (flag == "--admission-depth") {
-            admission_depth = std::atoi(value().c_str());
-        } else if (flag == "--fair-share") {
-            fair_share = std::atof(value().c_str());
-        } else if (flag == "--degrade") {
-            degrade = true;
-        } else if (flag == "--degrade-scale") {
-            degrade_scale = std::atof(value().c_str());
-        } else if (flag == "--degrade-tau") {
-            degrade_tau = std::atof(value().c_str());
-        } else if (flag == "--chaos") {
-            chaos_seed = std::strtoull(value().c_str(), nullptr, 10);
-        } else if (flag == "--chaos-io-fail") {
-            chaos_cfg.io_fail_rate = std::atof(value().c_str());
-        } else if (flag == "--chaos-io-truncate") {
-            chaos_cfg.io_truncate_rate = std::atof(value().c_str());
-        } else if (flag == "--chaos-decode-fail") {
-            chaos_cfg.decode_fail_rate = std::atof(value().c_str());
-        } else if (flag == "--chaos-stall") {
-            chaos_cfg.stall_rate = std::atof(value().c_str());
-        } else if (flag == "--chaos-stall-ms") {
-            chaos_cfg.stall_ms = std::atof(value().c_str());
-        } else if (flag == "--chaos-disconnect") {
-            chaos_cfg.disconnect_rate = std::atof(value().c_str());
-        } else if (flag == "--chaos-budget") {
-            chaos_cfg.budget_pressure_rate = std::atof(value().c_str());
-        } else if (flag == "--chaos-log") {
-            chaos_log_path = value();
-        } else if (flag == "--json") {
-            json_path = value();
-        } else if (flag == "--trace") {
-            trace_path = value();
-        } else if (flag == "--metrics-out") {
-            metrics_path = value();
-        } else if (flag == "--quiet") {
-            quiet = true;
-        } else {
-            std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-            usage(argv[0]);
-            return 2;
-        }
-    }
-    if (sessions < 1 || frames < 1 || fps_target < 0.0 ||
-        scale <= 0.0f || scale > 1.0f) {
-        std::fprintf(stderr,
-                     "--sessions/--frames must be >= 1, --fps-target "
-                     ">= 0 and --scale in (0, 1]\n");
-        return 2;
-    }
-    if (temporal < 0 || traj_arc <= 0.0 || traj_arc > 1.0) {
-        std::fprintf(stderr, "--temporal must be >= 0 and --traj-arc "
-                             "in (0, 1]\n");
-        return 2;
-    }
-    if (open_loop_rate < 0.0 || duration_ms <= 0.0 || diurnal < 0.0 ||
-        diurnal >= 1.0 || diurnal_period <= 0.0) {
-        std::fprintf(stderr, "--open-loop/--duration/--diurnal args "
-                             "out of range\n");
-        return 2;
-    }
-    if (degrade && (degrade_scale <= 0.0 || degrade_scale >= 1.0 ||
-                    degrade_tau < 1.0)) {
-        std::fprintf(stderr, "--degrade-scale must be in (0,1) and "
-                             "--degrade-tau >= 1\n");
-        return 2;
-    }
+    flags::Parser cli;
+    cli.add("--sessions N", &fleet_spec.sessions,
+            "concurrent client sessions")
+        .min(1);
+    cli.add("--frames N", &fleet_spec.frames, "frames streamed per session")
+        .min(1);
+    cli.add("--policy P", &policy_arg, "fifo | rr | edf");
+    cli.add("--renderers LIST", &renderers_arg,
+            "renderer mix, cycled across sessions; subset of tile,gw");
+    cli.add("--fps-target F", &fleet_spec.fps_target,
+            "per-session FPS target; frames get EDF deadlines and miss "
+            "accounting (0 = best effort)")
+        .min(0);
+    cli.add("--drop-late", &sched.drop_late,
+            "shed frames already past their deadline at dispatch "
+            "instead of rendering them");
+    cli.add("--threads N", &threads,
+            "render workers; 0 = all hardware threads")
+        .min(0).max(bench::kMaxWorkers);
+    cli.add("--scenes LIST", &scenes_arg,
+            "comma-separated scene names or 'all', cycled across "
+            "sessions");
+    cli.add("--subview N", &fleet_spec.gw.subview_size,
+            "Gaussian-wise Cmode sub-view side; 0 = full view")
+        .min(0);
+    cli.add("--scale F", &fleet_spec.scale,
+            "population scale; GCC3D_SCALE sets the default")
+        .above(0).max(1);
+    cli.add("--cache-dir DIR", &cache_dir,
+            ".gsc scene cache; repeated runs skip scene generation "
+            "(results unchanged)");
+    cli.add("--lod FILE", &fleet_spec.lod_path,
+            "serve the .gsc v2 LOD scene at FILE under the memory "
+            "budget instead of generating resident clouds (scene list "
+            "still sets the camera paths)");
+    // Converted to bytes as a size_t; the cap keeps that in range.
+    cli.add("--memory-budget M", &budget_mib,
+            "leaf-chunk residency budget in MiB")
+        .above(0).max(1 << 24);
+    cli.add("--lod-tau F", &fleet_spec.lod_cut.tau,
+            "LOD cut angular threshold in radians (smaller = more "
+            "detail)")
+        .above(0);
+    cli.add("--city N", &city,
+            "view the N-splat City corridor preset (with --lod, a "
+            "missing FILE is built by the streamed LOD builder first)");
+    cli.add("--temporal K", &fleet_spec.temporal,
+            "temporal coherence for tile resident-cloud sessions: 0 = "
+            "off, 1 = exact incremental mode (bit-identical), K > 1 = "
+            "render every K-th frame exactly and reproject the rest "
+            "(>= 40 dB contract)")
+        .min(0);
+    cli.add("--traj-arc F", &fleet_spec.traj_arc,
+            "fraction of each scene's camera path the trajectories "
+            "cover in the same frame count (temporal streams use "
+            "smaller arcs for headset-like steps)")
+        .above(0).max(1);
+    cli.add("--open-loop R", &open_loop_rate,
+            "open-loop serving: sessions arrive as a Poisson process "
+            "at R sessions/s instead of all joining at t=0 (--sessions "
+            "is ignored; --frames caps session length); unset = "
+            "closed loop")
+        .above(0);
+    cli.add("--duration MS", &load.duration_ms, "open-loop arrival window")
+        .above(0);
+    cli.add("--diurnal A", &load.diurnal_amplitude,
+            "sinusoidal rate modulation amplitude over "
+            "--diurnal-period ms")
+        .min(0).below(1);
+    cli.add("--diurnal-period MS", &load.diurnal_period_ms,
+            "diurnal modulation period")
+        .above(0);
+    cli.add("--load-seed N", &load.seed, "arrival-process seed");
+    cli.add("--admission", &sched.admission.enabled,
+            "enable admission control (token bucket + fairness)");
+    cli.add("--admission-rate F", &sched.admission.rate_hz,
+            "bucket refill in renders/s; 0 = no bucket")
+        .min(0);
+    cli.add("--admission-burst F", &sched.admission.burst,
+            "bucket capacity")
+        .min(0);
+    cli.add("--admission-depth N", &sched.admission.max_queue_depth,
+            "queue depth that counts as scarce (0 = off)")
+        .min(0);
+    cli.add("--fair-share F", &sched.admission.fair_share,
+            "under scarcity, shed sessions holding more than F x the "
+            "fleet-average renders (0 = off)")
+        .min(0);
+    cli.add("--degrade", &fleet_spec.degrade,
+            "enable the graceful-degradation ladder (full -> warp -> "
+            "half-res -> coarse LOD -> drop, driven by measured slack)");
+    cli.add("--degrade-scale F", &fleet_spec.degrade_render_scale,
+            "reduced-resolution tier multiplier")
+        .above(0).below(1);
+    cli.add("--degrade-tau F", &fleet_spec.degrade_tau_factor,
+            "coarse-LOD tier tau multiplier")
+        .min(1);
+    cli.add("--chaos SEED", &chaos_cfg.seed,
+            "deterministic fault injection; 0 = off.  Same seed + same "
+            "workload = same faults");
+    cli.add("--chaos-io-fail R", &chaos_cfg.io_fail_rate,
+            "scene .gsc read failure rate")
+        .min(0).max(1);
+    cli.add("--chaos-io-truncate R", &chaos_cfg.io_truncate_rate,
+            "scene .gsc truncation rate")
+        .min(0).max(1);
+    cli.add("--chaos-decode-fail R", &chaos_cfg.decode_fail_rate,
+            "LOD chunk decode failure rate")
+        .min(0).max(1);
+    cli.add("--chaos-stall R", &chaos_cfg.stall_rate, "worker stall rate")
+        .min(0).max(1);
+    cli.add("--chaos-stall-ms MS", &chaos_cfg.stall_ms, "stall duration")
+        .min(0);
+    cli.add("--chaos-disconnect R", &chaos_cfg.disconnect_rate,
+            "mid-stream disconnect rate")
+        .min(0).max(1);
+    cli.add("--chaos-budget R", &chaos_cfg.budget_pressure_rate,
+            "residency budget-pressure rate")
+        .min(0).max(1);
+    cli.add("--chaos-log FILE", &chaos_log_path,
+            "write the canonical chaos event log (byte-identical for a "
+            "fixed seed)");
+    cli.add("--json FILE", &json_path, "write the serve report as JSON");
+    cli.add("--trace FILE", &trace_path,
+            "write a Chrome/Perfetto trace-event JSON of the run (open "
+            "in chrome://tracing or ui.perfetto.dev)");
+    cli.add("--metrics-out FILE", &metrics_path,
+            "write the observability block (stage summaries + metrics "
+            "registry) as JSON");
+    cli.add("--quiet", &quiet, "suppress the per-session table");
+    cli.parseOrExit(argc, argv);
+    sched.degrade.enabled = fleet_spec.degrade;
 
-    FleetSpec fleet_spec;
-    fleet_spec.sessions = sessions;
-    fleet_spec.frames = frames;
-    fleet_spec.scale = scale;
-    fleet_spec.fps_target = fps_target;
-    fleet_spec.gw.subview_size = subview < 0 ? 0 : subview;
-    fleet_spec.temporal = temporal;
-    fleet_spec.traj_arc = static_cast<float>(traj_arc);
-    fleet_spec.degrade = degrade;
-    fleet_spec.degrade_render_scale = static_cast<float>(degrade_scale);
-    fleet_spec.degrade_tau_factor = static_cast<float>(degrade_tau);
-
-    chaos_cfg.seed = chaos_seed;
-
-    SchedulerOptions sched;
-    sched.drop_late = drop_late;
-    sched.admission.enabled = admission;
-    sched.admission.rate_hz = admission_rate;
-    sched.admission.burst = admission_burst;
-    sched.admission.max_queue_depth = admission_depth;
-    sched.admission.fair_share = fair_share;
-    sched.degrade.enabled = degrade;
     try {
         sched.policy = schedulerPolicyFromName(policy_arg);
         fleet_spec.renderers.clear();
@@ -334,27 +204,21 @@ main(int argc, char **argv)
         std::fprintf(stderr, "%s\n", e.what());
         return 2;
     }
-    if (!lod_path.empty()) {
-        if (budget_mib <= 0.0 || lod_tau <= 0.0) {
-            std::fprintf(stderr,
-                         "--memory-budget and --lod-tau must be > 0\n");
-            return 2;
-        }
-        fleet_spec.lod_path = lod_path;
+    if (!fleet_spec.lod_path.empty()) {
         fleet_spec.lod_budget_bytes =
             static_cast<std::size_t>(budget_mib * (1 << 20));
-        fleet_spec.lod_cut.tau = static_cast<float>(lod_tau);
         // The City corridor is too large to generate in RAM: a missing
         // LOD file is built once by the streamed builder and reused.
-        if (city > 0 && !isGscV2File(lod_path)) {
-            std::printf("building %s: %lld-splat City LOD file "
+        if (city > 0 && !isGscV2File(fleet_spec.lod_path)) {
+            std::printf("building %s: %llu-splat City LOD file "
                         "(streamed)...\n",
-                        lod_path.c_str(), city);
-            if (!buildLodFileStreamed(fleet_spec.scenes.front(),
-                                      static_cast<std::uint64_t>(city),
-                                      lod_path, LodBuildConfig{})) {
+                        fleet_spec.lod_path.c_str(),
+                        static_cast<unsigned long long>(city));
+            if (!buildLodFileStreamed(fleet_spec.scenes.front(), city,
+                                      fleet_spec.lod_path,
+                                      LodBuildConfig{})) {
                 std::fprintf(stderr, "failed to build %s\n",
-                             lod_path.c_str());
+                             fleet_spec.lod_path.c_str());
                 return 1;
             }
         }
@@ -367,9 +231,10 @@ main(int argc, char **argv)
     int workers = threads > 0 ? threads : ThreadPool::hardwareWorkers();
     std::printf("gcc3d_serve: %d sessions x %d frames, policy %s, %d "
                 "workers, fps target %.1f%s, scale %.2f\n",
-                sessions, frames, policy_arg.c_str(), workers, fps_target,
-                drop_late ? ", drop-late" : "",
-                static_cast<double>(scale));
+                fleet_spec.sessions, fleet_spec.frames, policy_arg.c_str(),
+                workers, fleet_spec.fps_target,
+                sched.drop_late ? ", drop-late" : "",
+                static_cast<double>(fleet_spec.scale));
 
     try {
         // Chaos is installed before any scene work so .gsc cache
@@ -390,20 +255,15 @@ main(int argc, char **argv)
         SceneRegistry registry(cache_dir);
         std::vector<Session> fleet;
         if (open_loop_rate > 0.0) {
-            serve::LoadGenConfig load;
-            load.seed = load_seed;
             load.base_rate_hz = open_loop_rate;
-            load.duration_ms = duration_ms;
-            load.diurnal_amplitude = diurnal;
-            load.diurnal_period_ms = diurnal_period;
-            load.frames_min = std::max(1, frames / 2);
-            load.frames_max = frames;
-            load.fps_target = static_cast<float>(fps_target);
+            load.frames_min = std::max(1, fleet_spec.frames / 2);
+            load.frames_max = fleet_spec.frames;
+            load.fps_target = static_cast<float>(fleet_spec.fps_target);
             const std::vector<serve::SessionArrival> arrivals =
                 serve::generateArrivals(load);
             std::printf("open-loop: %zu arrivals over %.0f ms (%.1f "
                         "sessions/s, %llu offered frames)\n",
-                        arrivals.size(), duration_ms, open_loop_rate,
+                        arrivals.size(), load.duration_ms, open_loop_rate,
                         static_cast<unsigned long long>(
                             serve::totalOfferedFrames(arrivals)));
             fleet = buildOpenLoopFleet(fleet_spec, arrivals, registry);

@@ -13,17 +13,21 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "gsmath/simd.h"
+#include "runtime/flags.h"
 #include "runtime/result_table.h"
 #include "runtime/sweep_runner.h"
 #include "scene/scene_presets.h"
 
 namespace gcc3d::bench {
+
+/** Upper bound of every thread/worker flag, so a typo cannot ask for
+ *  a huge pool. */
+constexpr int kMaxWorkers = 1024;
 
 /**
  * Host metadata as a JSON object fragment, embedded in every
@@ -42,21 +46,33 @@ hostJson()
 }
 
 /**
+ * Scene population scale for harness runs: the GCC3D_SCALE
+ * environment variable in (0, 1], default 0.25, which keeps the full
+ * figure suite tractable on one core while preserving every
+ * population ratio (1.0 = paper-scale counts).  A malformed or
+ * out-of-range value exits 2.
+ */
+inline float
+benchScale()
+{
+    float scale = 0.25f;
+    flags::fromEnv("GCC3D_SCALE", flags::Range().above(0).max(1), &scale);
+    return scale;
+}
+
+/**
  * Worker threads for harness sweeps: the GCC3D_WORKERS environment
- * variable, defaulting to every hardware thread.  The results are
- * deterministic regardless (see SweepRunner); workers only change
- * wall-clock time.
+ * variable in [0, 1024], where 0 or unset means every hardware
+ * thread.  The results are deterministic regardless (see
+ * SweepRunner); workers only change wall-clock time.
  */
 inline int
 benchWorkers()
 {
-    const char *env = std::getenv("GCC3D_WORKERS");
-    if (env != nullptr) {
-        int workers = std::atoi(env);
-        if (workers > 0)
-            return workers;
-    }
-    return ThreadPool::hardwareWorkers();
+    int workers = 0;
+    flags::fromEnv("GCC3D_WORKERS", flags::Range().min(0).max(kMaxWorkers),
+                   &workers);
+    return workers > 0 ? workers : ThreadPool::hardwareWorkers();
 }
 
 /**
@@ -85,6 +101,8 @@ runSweep(const SweepSpec &spec)
     return table;
 }
 
+using flags::splitList;
+
 /**
  * Parse a --scenes CLI argument: "all" expands to every preset,
  * otherwise a comma-separated list of scene names.  Throws
@@ -96,39 +114,8 @@ parseSceneList(const std::string &arg)
     if (arg == "all")
         return allScenes();
     std::vector<SceneId> out;
-    std::string item;
-    auto flush = [&] {
-        if (!item.empty())
-            out.push_back(sceneFromName(item));
-        item.clear();
-    };
-    for (char c : arg) {
-        if (c == ',')
-            flush();
-        else
-            item += c;
-    }
-    flush();
-    return out;
-}
-
-/** Split a comma-separated CLI list, dropping empty items. */
-inline std::vector<std::string>
-splitList(const std::string &arg)
-{
-    std::vector<std::string> out;
-    std::string item;
-    for (char c : arg) {
-        if (c == ',') {
-            if (!item.empty())
-                out.push_back(item);
-            item.clear();
-        } else {
-            item += c;
-        }
-    }
-    if (!item.empty())
-        out.push_back(item);
+    for (const std::string &name : splitList(arg))
+        out.push_back(sceneFromName(name));
     return out;
 }
 

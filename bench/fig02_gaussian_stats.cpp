@@ -21,7 +21,7 @@ int
 main()
 {
     using namespace gcc3d;
-    float scale = benchScale();
+    float scale = bench::benchScale();
     bench::banner("Figure 2", "Gaussian population by phase & per-Gaussian"
                   " loading (GSCore dataflow)", scale);
 

@@ -22,7 +22,7 @@ int
 main()
 {
     using namespace gcc3d;
-    float scale = benchScale();
+    float scale = bench::benchScale();
     bench::banner("Figure 6",
                   "Cmode sub-view size vs Gaussian processing overhead",
                   scale);

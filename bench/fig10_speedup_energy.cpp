@@ -19,7 +19,7 @@ int
 main()
 {
     using namespace gcc3d;
-    float scale = benchScale();
+    float scale = bench::benchScale();
     bench::banner("Figure 10",
                   "area-normalized speedup & energy efficiency, GCC vs "
                   "GSCore", scale);

@@ -26,7 +26,7 @@ int
 main()
 {
     using namespace gcc3d;
-    float scale = benchScale();
+    float scale = bench::benchScale();
     bench::banner("Figure 11", "ablation: Baseline vs GW vs GW+CC",
                   scale);
 

@@ -20,7 +20,7 @@ int
 main()
 {
     using namespace gcc3d;
-    float scale = benchScale();
+    float scale = bench::benchScale();
     bench::banner("Figure 12", "per-frame energy breakdown (mJ)", scale);
 
     std::printf("%-10s | %27s | %27s\n", "", "GSCore (sram/dram/comp)",

@@ -25,7 +25,7 @@ int
 main()
 {
     using namespace gcc3d;
-    float scale = benchScale();
+    float scale = bench::benchScale();
     bench::banner("Figure 13", "design space exploration (Train)", scale);
 
     SweepSpec spec;

@@ -22,7 +22,7 @@ int
 main()
 {
     using namespace gcc3d;
-    float scale = benchScale();
+    float scale = bench::benchScale();
     bench::banner("Figure 14", "throughput vs DRAM bandwidth (Train)",
                   scale);
 

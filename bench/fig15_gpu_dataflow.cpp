@@ -26,7 +26,7 @@ int
 main()
 {
     using namespace gcc3d;
-    float scale = benchScale();
+    float scale = bench::benchScale();
     bench::banner("Figure 15",
                   "dataflow time breakdown on GPUs and accelerators",
                   scale);

@@ -37,15 +37,7 @@
  * run; speedups and TemporalCounters go to the "temporal" JSON
  * section.
  *
- * Usage:
- *   frame_throughput [--scenes LIST] [--frames N] [--reps N]
- *                    [--renderers tile,gw] [--reference]
- *                    [--threads LIST] [--subview N] [--fast-alpha]
- *                    [--workers N] [--scale F] [--out FILE]
- *                    [--trajectory] [--temporal K] [--hold H]
- *                    [--arc F] [--traj-frames N]
- *
- * Scale comes from --scale or GCC3D_SCALE (1.0 = paper populations).
+ * Run with --help for the flags; GCC3D_SCALE sets the default --scale.
  * --workers > 1 runs the base tile/gw variants on a thread pool (the
  * images and stats do not depend on it).
  */
@@ -54,7 +46,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 #include <map>
 #include <memory>
@@ -67,6 +58,7 @@
 #include "render/gaussian_wise_renderer.h"
 #include "render/metrics.h"
 #include "render/tile_renderer.h"
+#include "runtime/flags.h"
 #include "runtime/thread_pool.h"
 #include "scene/trajectory.h"
 
@@ -81,48 +73,6 @@ nowMsSince(std::chrono::steady_clock::time_point start)
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - start)
         .count();
-}
-
-void
-usage(const char *argv0)
-{
-    std::printf(
-        "usage: %s [options]\n"
-        "  --scenes LIST    comma-separated scene names or 'all'\n"
-        "                   (default: palace,lego,train)\n"
-        "  --frames N       trajectory frames per scene (default: 2)\n"
-        "  --reps N         timed repetitions per frame (default: 3)\n"
-        "  --renderers LIST subset of tile,gw (default: tile,gw)\n"
-        "  --reference      also time the scalar reference paths and\n"
-        "                   report each optimized speedup\n"
-        "  --threads LIST   worker-count scaling sweep, e.g. 1,2,4,8\n"
-        "                   (adds a <renderer>-tN variant per count)\n"
-        "  --subview N      Gaussian-wise Cmode sub-view side; 0 =\n"
-        "                   full view (default: 128)\n"
-        "  --fast-alpha     also time the simdExp fast-alpha paths\n"
-        "                   (tile-fa/gw-fa variants + PSNR check)\n"
-        "  --workers N      pool for the base tile/gw variants;\n"
-        "                   <2 = serial (default: 1)\n"
-        "  --trajectory     temporal-coherence section: cold vs exact\n"
-        "                   temporal vs warp over a slow held camera\n"
-        "                   stream (tile renderer only)\n"
-        "  --temporal K     warp mode renders every K-th frame exactly\n"
-        "                   (default: 4)\n"
-        "  --hold H         display frames per camera pose in the\n"
-        "                   stream (default: 2)\n"
-        "  --arc F          fraction of the natural camera path the\n"
-        "                   stream covers (default: 0.001)\n"
-        "  --traj-frames N  distinct camera poses in the stream\n"
-        "                   (default: 8)\n"
-        "  --scale F        population scale in (0,1] (default:\n"
-        "                   GCC3D_SCALE env or 1.0)\n"
-        "  --out FILE       JSON output path (default:\n"
-        "                   BENCH_frame.json; '-' disables)\n"
-        "  --trace FILE     write a Chrome/Perfetto trace-event JSON\n"
-        "                   of the run\n"
-        "  --metrics-out FILE  write stage summaries + metrics\n"
-        "                   registry as JSON\n",
-        argv0);
 }
 
 /** What one timed variant runs. */
@@ -146,7 +96,7 @@ main(int argc, char **argv)
 {
     std::string scenes_arg = "palace,lego,train";
     std::string renderers_arg = "tile,gw";
-    std::string threads_arg;
+    std::vector<int> thread_counts;
     std::string out_path = "BENCH_frame.json";
     std::string trace_path;
     std::string metrics_path;
@@ -161,77 +111,54 @@ main(int argc, char **argv)
     bool trajectory = false;
     bool reference = false;
     bool fast_alpha = false;
-    float scale = benchScale();
+    float scale = bench::benchScale();
 
-    for (int i = 1; i < argc; ++i) {
-        std::string flag = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n",
-                             flag.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (flag == "--help" || flag == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else if (flag == "--scenes") {
-            scenes_arg = value();
-        } else if (flag == "--frames") {
-            frames = std::atoi(value().c_str());
-        } else if (flag == "--reps") {
-            reps = std::atoi(value().c_str());
-        } else if (flag == "--renderers") {
-            renderers_arg = value();
-        } else if (flag == "--reference") {
-            reference = true;
-        } else if (flag == "--fast-alpha") {
-            fast_alpha = true;
-        } else if (flag == "--threads") {
-            threads_arg = value();
-        } else if (flag == "--subview") {
-            subview = std::atoi(value().c_str());
-        } else if (flag == "--workers") {
-            workers = std::atoi(value().c_str());
-        } else if (flag == "--trajectory") {
-            trajectory = true;
-        } else if (flag == "--temporal") {
-            temporal_every = std::atoi(value().c_str());
-        } else if (flag == "--hold") {
-            hold = std::atoi(value().c_str());
-        } else if (flag == "--arc") {
-            traj_arc = std::atof(value().c_str());
-        } else if (flag == "--traj-frames") {
-            traj_frames = std::atoi(value().c_str());
-        } else if (flag == "--scale") {
-            scale = static_cast<float>(std::atof(value().c_str()));
-        } else if (flag == "--out") {
-            out_path = value();
-        } else if (flag == "--trace") {
-            trace_path = value();
-        } else if (flag == "--metrics-out") {
-            metrics_path = value();
-        } else {
-            std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-            usage(argv[0]);
-            return 2;
-        }
-    }
-    if (frames < 1 || reps < 1 || scale <= 0.0f || scale > 1.0f) {
-        std::fprintf(stderr, "--frames/--reps must be >= 1 and "
-                             "--scale in (0, 1]\n");
-        return 2;
-    }
-    if (temporal_every < 2 || hold < 1 || traj_frames < 2 ||
-        traj_arc <= 0.0 || traj_arc > 1.0) {
-        std::fprintf(stderr,
-                     "--temporal must be >= 2, --hold >= 1, "
-                     "--traj-frames >= 2 and --arc in (0, 1]\n");
-        return 2;
-    }
-    if (subview < 0)
-        subview = 0;
+    flags::Parser cli;
+    cli.add("--scenes LIST", &scenes_arg,
+            "comma-separated scene names or 'all'");
+    cli.add("--frames N", &frames, "trajectory frames per scene").min(1);
+    cli.add("--reps N", &reps, "timed repetitions per frame").min(1);
+    cli.add("--renderers LIST", &renderers_arg, "subset of tile,gw");
+    cli.add("--reference", &reference,
+            "also time the scalar reference paths and report each "
+            "optimized speedup");
+    cli.add("--threads LIST", &thread_counts,
+            "worker-count scaling sweep, e.g. 1,2,4,8 (adds a "
+            "<renderer>-tN variant per count)")
+        .min(1).max(bench::kMaxWorkers);
+    cli.add("--subview N", &subview,
+            "Gaussian-wise Cmode sub-view side; 0 = full view")
+        .min(0);
+    cli.add("--fast-alpha", &fast_alpha,
+            "also time the simdExp fast-alpha paths (tile-fa/gw-fa "
+            "variants + PSNR check)");
+    cli.add("--workers N", &workers,
+            "pool for the base tile/gw variants; < 2 = serial")
+        .min(0).max(bench::kMaxWorkers);
+    cli.add("--trajectory", &trajectory,
+            "temporal-coherence section: cold vs exact temporal vs warp "
+            "over a slow held camera stream (tile renderer only)");
+    cli.add("--temporal K", &temporal_every,
+            "warp mode renders every K-th frame exactly")
+        .min(2);
+    cli.add("--hold H", &hold,
+            "display frames per camera pose in the stream")
+        .min(1);
+    cli.add("--arc F", &traj_arc,
+            "fraction of the natural camera path the stream covers")
+        .above(0).max(1);
+    cli.add("--traj-frames N", &traj_frames,
+            "distinct camera poses in the stream")
+        .min(2);
+    cli.add("--scale F", &scale,
+            "population scale; GCC3D_SCALE sets the default")
+        .above(0).max(1);
+    cli.add("--out FILE", &out_path, "JSON output path; '-' disables");
+    cli.add("--trace FILE", &trace_path,
+            "write a Chrome/Perfetto trace-event JSON of the run");
+    cli.add("--metrics-out FILE", &metrics_path,
+            "write stage summaries + metrics registry as JSON");
+    cli.parseOrExit(argc, argv);
 
     std::vector<SceneId> scenes;
     try {
@@ -258,15 +185,6 @@ main(int argc, char **argv)
         return 2;
     }
 
-    std::vector<int> thread_counts;
-    for (const std::string &t : splitList(threads_arg)) {
-        int n = std::atoi(t.c_str());
-        if (n < 1) {
-            std::fprintf(stderr, "bad --threads entry: %s\n", t.c_str());
-            return 2;
-        }
-        thread_counts.push_back(n);
-    }
     // The sweep's scaling baseline is the single-thread point.
     if (!thread_counts.empty() &&
         std::find(thread_counts.begin(), thread_counts.end(), 1) ==

@@ -23,15 +23,11 @@
  * Results go to BENCH_lod.json so the LOD trajectory is tracked
  * across PRs.
  *
- * Usage:
- *   lod_scale [--scenes LIST] [--scale F] [--city N] [--budget MIB]
- *             [--sessions N] [--frames N] [--tau F] [--threads N]
- *             [--keep] [--out FILE]
+ * Run with --help for the flags.
  */
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -42,38 +38,13 @@
 #include "lod/lod_scene.h"
 #include "render/metrics.h"
 #include "render/tile_renderer.h"
+#include "runtime/flags.h"
 #include "serve/fleet.h"
 #include "serve/frame_scheduler.h"
 
 namespace {
 
 using namespace gcc3d;
-
-void
-usage(const char *argv0)
-{
-    std::printf(
-        "usage: %s [options]\n"
-        "  --scenes LIST  presets for the per-level PSNR part\n"
-        "                 (default: palace,lego,train; 'none' skips)\n"
-        "  --scale F      population scale in (0,1] (default:\n"
-        "                 GCC3D_SCALE env or 1.0)\n"
-        "  --city N       splat count of the streamed city preset\n"
-        "                 (default: 10000000; 0 skips part B)\n"
-        "  --budget MIB   leaf residency budget for the city serve\n"
-        "                 (default: 256)\n"
-        "  --sessions N   serve sessions over the city scene\n"
-        "                 (default: 4)\n"
-        "  --frames N     frames per session (default: 2)\n"
-        "  --tau F        cut angular threshold (default: 0.08)\n"
-        "  --chunk-target N  leaf chunk size for built files\n"
-        "  --proxy-base N    level-1 merge ratio for built files\n"
-        "  --threads N    render workers; 0 = all hardware threads\n"
-        "  --keep         keep the generated .gsc files\n"
-        "  --out FILE     JSON output path (default: BENCH_lod.json;\n"
-        "                 '-' disables)\n",
-        argv0);
-}
 
 double
 nowMsSince(std::chrono::steady_clock::time_point start)
@@ -126,63 +97,37 @@ main(int argc, char **argv)
     int threads = 0;
     float tau = 0.08f;
     bool keep = false;
-    float scale = benchScale();
+    float scale = bench::benchScale();
     LodBuildConfig build_cfg;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string flag = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n",
-                             flag.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (flag == "--help" || flag == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else if (flag == "--scenes") {
-            scenes_arg = value();
-        } else if (flag == "--scale") {
-            scale = static_cast<float>(std::atof(value().c_str()));
-        } else if (flag == "--city") {
-            city_count = static_cast<std::size_t>(
-                std::strtoull(value().c_str(), nullptr, 10));
-        } else if (flag == "--budget") {
-            budget_mib = static_cast<std::size_t>(
-                std::strtoull(value().c_str(), nullptr, 10));
-        } else if (flag == "--sessions") {
-            sessions = std::atoi(value().c_str());
-        } else if (flag == "--frames") {
-            frames = std::atoi(value().c_str());
-        } else if (flag == "--tau") {
-            tau = static_cast<float>(std::atof(value().c_str()));
-        } else if (flag == "--chunk-target") {
-            build_cfg.chunk_target = static_cast<std::size_t>(
-                std::strtoull(value().c_str(), nullptr, 10));
-        } else if (flag == "--proxy-base") {
-            build_cfg.proxy_base = static_cast<std::size_t>(
-                std::strtoull(value().c_str(), nullptr, 10));
-        } else if (flag == "--threads") {
-            threads = std::atoi(value().c_str());
-        } else if (flag == "--keep") {
-            keep = true;
-        } else if (flag == "--out") {
-            out_path = value();
-        } else {
-            std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-            usage(argv[0]);
-            return 2;
-        }
-    }
-    if (sessions < 1 || frames < 1 || budget_mib < 1 || tau <= 0.0f ||
-        scale <= 0.0f || scale > 1.0f) {
-        std::fprintf(stderr,
-                     "--sessions/--frames/--budget must be >= 1, --tau "
-                     "> 0 and --scale in (0, 1]\n");
-        return 2;
-    }
+    flags::Parser cli;
+    cli.add("--scenes LIST", &scenes_arg,
+            "presets for the per-level PSNR part ('none' skips)");
+    cli.add("--scale F", &scale,
+            "population scale; GCC3D_SCALE sets the default")
+        .above(0).max(1);
+    cli.add("--city N", &city_count,
+            "splat count of the streamed city preset (0 skips part B)");
+    // Shifted into bytes as a size_t; the cap keeps that in range.
+    cli.add("--budget MIB", &budget_mib,
+            "leaf residency budget for the city serve")
+        .min(1).max(1 << 24);
+    cli.add("--sessions N", &sessions, "serve sessions over the city scene")
+        .min(1);
+    cli.add("--frames N", &frames, "frames per session").min(1);
+    cli.add("--tau F", &tau, "cut angular threshold").above(0);
+    cli.add("--chunk-target N", &build_cfg.chunk_target,
+            "leaf chunk size for built files")
+        .min(1);
+    cli.add("--proxy-base N", &build_cfg.proxy_base,
+            "level-1 merge ratio for built files")
+        .min(1);
+    cli.add("--threads N", &threads,
+            "render workers; 0 = all hardware threads")
+        .min(0).max(bench::kMaxWorkers);
+    cli.add("--keep", &keep, "keep the generated .gsc files");
+    cli.add("--out FILE", &out_path, "JSON output path; '-' disables");
+    cli.parseOrExit(argc, argv);
 
     std::vector<SceneId> scene_ids;
     if (scenes_arg != "none") {

@@ -20,15 +20,12 @@
  * determinism scope, and the recorder under test must not time
  * itself.
  *
- * Usage:
- *   obs_overhead [--scenes LIST] [--renderers tile,gw] [--frames N]
- *                [--reps N] [--threshold PCT] [--scale F] [--out FILE]
+ * Run with --help for the flags.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -39,6 +36,7 @@
 #include "obs/perf_recorder.h"
 #include "render/gaussian_wise_renderer.h"
 #include "render/tile_renderer.h"
+#include "runtime/flags.h"
 #include "scene/trajectory.h"
 
 namespace {
@@ -54,26 +52,6 @@ nowMsSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-void
-usage(const char *argv0)
-{
-    std::printf(
-        "usage: %s [options]\n"
-        "  --scenes LIST    scene names or 'all' (default:\n"
-        "                   palace,lego,train)\n"
-        "  --renderers LIST subset of tile,gw (default: tile,gw)\n"
-        "  --frames N       trajectory frames per pass (default: 2)\n"
-        "  --reps N         interleaved off/on passes per cell\n"
-        "                   (default: 5)\n"
-        "  --threshold PCT  max allowed per-renderer mean overhead in\n"
-        "                   percent (default: 3.0)\n"
-        "  --scale F        population scale in (0,1] (default:\n"
-        "                   GCC3D_SCALE env or 1.0)\n"
-        "  --out FILE       JSON output path (default: BENCH_obs.json;\n"
-        "                   '-' disables)\n",
-        argv0);
-}
-
 } // namespace
 
 int
@@ -85,47 +63,21 @@ main(int argc, char **argv)
     int frames = 2;
     int reps = 5;
     double threshold_pct = 3.0;
-    float scale = benchScale();
+    float scale = bench::benchScale();
 
-    for (int i = 1; i < argc; ++i) {
-        std::string flag = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n",
-                             flag.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (flag == "--help" || flag == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else if (flag == "--scenes") {
-            scenes_arg = value();
-        } else if (flag == "--renderers") {
-            renderers_arg = value();
-        } else if (flag == "--frames") {
-            frames = std::atoi(value().c_str());
-        } else if (flag == "--reps") {
-            reps = std::atoi(value().c_str());
-        } else if (flag == "--threshold") {
-            threshold_pct = std::atof(value().c_str());
-        } else if (flag == "--scale") {
-            scale = static_cast<float>(std::atof(value().c_str()));
-        } else if (flag == "--out") {
-            out_path = value();
-        } else {
-            std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-            usage(argv[0]);
-            return 2;
-        }
-    }
-    if (frames < 1 || reps < 1 || threshold_pct <= 0.0 ||
-        scale <= 0.0f || scale > 1.0f) {
-        std::fprintf(stderr, "--frames/--reps must be >= 1, "
-                             "--threshold > 0 and --scale in (0, 1]\n");
-        return 2;
-    }
+    flags::Parser cli;
+    cli.add("--scenes LIST", &scenes_arg, "scene names or 'all'");
+    cli.add("--renderers LIST", &renderers_arg, "subset of tile,gw");
+    cli.add("--frames N", &frames, "trajectory frames per pass").min(1);
+    cli.add("--reps N", &reps, "interleaved off/on passes per cell").min(1);
+    cli.add("--threshold PCT", &threshold_pct,
+            "max allowed per-renderer mean overhead in percent")
+        .above(0);
+    cli.add("--scale F", &scale,
+            "population scale; GCC3D_SCALE sets the default")
+        .above(0).max(1);
+    cli.add("--out FILE", &out_path, "JSON output path; '-' disables");
+    cli.parseOrExit(argc, argv);
 
     std::vector<SceneId> scenes;
     bool run_tile = false, run_gw = false;

@@ -14,11 +14,7 @@
  * go to BENCH_serve.json so the serving trajectory is tracked across
  * PRs.
  *
- * Usage:
- *   serve_throughput [--sessions N] [--frames N] [--scenes LIST]
- *                    [--renderers tile,gw] [--policies fifo,rr,edf]
- *                    [--threads N] [--fps-target F] [--scale F]
- *                    [--out FILE]
+ * Run with --help for the flags.
  *
  * A non-zero --fps-target adds a paced EDF run with deadline-miss
  * accounting on top of the best-effort throughput runs.
@@ -36,7 +32,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -48,6 +43,7 @@
 #include "bench_util.h"
 #include "obs/trace_export.h"
 #include "render/metrics.h"
+#include "runtime/flags.h"
 #include "serve/fleet.h"
 #include "serve/frame_scheduler.h"
 
@@ -55,44 +51,6 @@ namespace {
 
 using namespace gcc3d;
 using gcc3d::bench::splitList;
-
-void
-usage(const char *argv0)
-{
-    std::printf(
-        "usage: %s [options]\n"
-        "  --sessions N     concurrent sessions (default: 8)\n"
-        "  --frames N       frames per session (default: 6)\n"
-        "  --scenes LIST    scene names or 'all', cycled across\n"
-        "                   sessions (default: palace,lego,train)\n"
-        "  --renderers LIST renderer mix, subset of tile,gw\n"
-        "                   (default: tile,gw)\n"
-        "  --policies LIST  subset of fifo,rr,edf (default: all)\n"
-        "  --threads N      render workers; 0 = all hardware threads\n"
-        "                   (default: 0)\n"
-        "  --fps-target F   adds a paced EDF run with deadline\n"
-        "                   accounting (default: 0 = skip)\n"
-        "  --subview N      gw Cmode sub-view side (default: 128)\n"
-        "  --temporal K     temporal coherence for tile resident-cloud\n"
-        "                   sessions: 0 = off, 1 = exact incremental\n"
-        "                   (bit-identical, validated), K > 1 = exact\n"
-        "                   every K-th frame + reprojection (>= 40 dB\n"
-        "                   contract, validated) (default: 0)\n"
-        "  --traj-arc F     fraction of each scene's camera path the\n"
-        "                   trajectories cover (default: 1.0)\n"
-        "  --scale F        population scale in (0,1] (default:\n"
-        "                   GCC3D_SCALE env or 1.0)\n"
-        "  --no-overload    skip the open-loop overload sweep\n"
-        "                   (goodput-vs-offered-load curve; ladder vs\n"
-        "                   drop-only shedding)\n"
-        "  --overload-frames N  offered frames per sweep leg\n"
-        "                   (default: 120)\n"
-        "  --out FILE       JSON output path (default:\n"
-        "                   BENCH_serve.json; '-' disables)\n"
-        "  --trace FILE     write a Chrome/Perfetto trace-event JSON\n"
-        "                   of the whole run\n",
-        argv0);
-}
 
 /** Nearest-neighbor upsample, for scoring a reduced-resolution frame
  *  against its full-resolution reference. */
@@ -144,77 +102,56 @@ main(int argc, char **argv)
     int temporal = 0;
     double traj_arc = 1.0;
     double fps_target = 0.0;
-    bool overload = true;
+    bool no_overload = false;
     int overload_frames = 120;
-    float scale = benchScale();
+    float scale = bench::benchScale();
 
-    for (int i = 1; i < argc; ++i) {
-        std::string flag = argv[i];
-        auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "missing value for %s\n",
-                             flag.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (flag == "--help" || flag == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else if (flag == "--sessions") {
-            sessions = std::atoi(value().c_str());
-        } else if (flag == "--frames") {
-            frames = std::atoi(value().c_str());
-        } else if (flag == "--scenes") {
-            scenes_arg = value();
-        } else if (flag == "--renderers") {
-            renderers_arg = value();
-        } else if (flag == "--policies") {
-            policies_arg = value();
-        } else if (flag == "--threads") {
-            threads = std::atoi(value().c_str());
-        } else if (flag == "--fps-target") {
-            fps_target = std::atof(value().c_str());
-        } else if (flag == "--subview") {
-            subview = std::atoi(value().c_str());
-        } else if (flag == "--temporal") {
-            temporal = std::atoi(value().c_str());
-        } else if (flag == "--traj-arc") {
-            traj_arc = std::atof(value().c_str());
-        } else if (flag == "--scale") {
-            scale = static_cast<float>(std::atof(value().c_str()));
-        } else if (flag == "--no-overload") {
-            overload = false;
-        } else if (flag == "--overload-frames") {
-            overload_frames = std::atoi(value().c_str());
-        } else if (flag == "--out") {
-            out_path = value();
-        } else if (flag == "--trace") {
-            trace_path = value();
-        } else {
-            std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-            usage(argv[0]);
-            return 2;
-        }
-    }
-    if (sessions < 1 || frames < 1 || fps_target < 0.0 ||
-        scale <= 0.0f || scale > 1.0f) {
-        std::fprintf(stderr,
-                     "--sessions/--frames must be >= 1, --fps-target "
-                     ">= 0 and --scale in (0, 1]\n");
-        return 2;
-    }
-    if (temporal < 0 || traj_arc <= 0.0 || traj_arc > 1.0) {
-        std::fprintf(stderr, "--temporal must be >= 0 and --traj-arc "
-                             "in (0, 1]\n");
-        return 2;
-    }
+    flags::Parser cli;
+    cli.add("--sessions N", &sessions, "concurrent sessions").min(1);
+    cli.add("--frames N", &frames, "frames per session").min(1);
+    cli.add("--scenes LIST", &scenes_arg,
+            "scene names or 'all', cycled across sessions");
+    cli.add("--renderers LIST", &renderers_arg,
+            "renderer mix, subset of tile,gw");
+    cli.add("--policies LIST", &policies_arg, "subset of fifo,rr,edf");
+    cli.add("--threads N", &threads,
+            "render workers; 0 = all hardware threads")
+        .min(0).max(bench::kMaxWorkers);
+    cli.add("--fps-target F", &fps_target,
+            "adds a paced EDF run with deadline accounting (0 = skip)")
+        .min(0);
+    cli.add("--subview N", &subview,
+            "gw Cmode sub-view side; 0 = full view")
+        .min(0);
+    cli.add("--temporal K", &temporal,
+            "temporal coherence for tile resident-cloud sessions: 0 = "
+            "off, 1 = exact incremental (bit-identical, validated), "
+            "K > 1 = exact every K-th frame + reprojection (>= 40 dB "
+            "contract, validated)")
+        .min(0);
+    cli.add("--traj-arc F", &traj_arc,
+            "fraction of each scene's camera path the trajectories "
+            "cover")
+        .above(0).max(1);
+    cli.add("--scale F", &scale,
+            "population scale; GCC3D_SCALE sets the default")
+        .above(0).max(1);
+    cli.add("--no-overload", &no_overload,
+            "skip the open-loop overload sweep (goodput-vs-offered-load "
+            "curve; ladder vs drop-only shedding)");
+    cli.add("--overload-frames N", &overload_frames,
+            "offered frames per sweep leg; 0 skips the sweep")
+        .min(0);
+    cli.add("--out FILE", &out_path, "JSON output path; '-' disables");
+    cli.add("--trace FILE", &trace_path,
+            "write a Chrome/Perfetto trace-event JSON of the whole run");
+    cli.parseOrExit(argc, argv);
 
     FleetSpec fleet_spec;
     fleet_spec.sessions = sessions;
     fleet_spec.frames = frames;
     fleet_spec.scale = scale;
-    fleet_spec.gw.subview_size = subview < 0 ? 0 : subview;
+    fleet_spec.gw.subview_size = subview;
     fleet_spec.temporal = temporal;
     fleet_spec.traj_arc = static_cast<float>(traj_arc);
 
@@ -273,7 +210,7 @@ main(int argc, char **argv)
         std::string miss_attribution;
     };
     std::vector<PolicyRow> policy_rows;
-    bool all_ok = true;
+    bool checksums_ok = true;
 
     ThreadPool pool(workers);
     bench::rule();
@@ -298,7 +235,7 @@ main(int argc, char **argv)
         row.queue_depth = report.queue_depth;
         row.sheds = report.sheds;
         row.miss_attribution = report.missAttribution().toJson();
-        all_ok = all_ok && row.checksums_match;
+        checksums_ok = checksums_ok && row.checksums_match;
         policy_rows.push_back(row);
 
         std::printf("%-8s %10.1f %10.2f %9.2fx %10.2f %10.2f%s\n",
@@ -362,7 +299,6 @@ main(int argc, char **argv)
                         chk.ok ? "ok" : "CONTRACT VIOLATED");
             temporal_checks.push_back(std::move(chk));
         }
-        all_ok = all_ok && temporal_ok;
     }
 
     // Optional paced run: every session carries an FPS target and EDF
@@ -378,7 +314,7 @@ main(int argc, char **argv)
         FrameScheduler scheduler(options);
         ServeReport report = scheduler.run(paced_fleet, pool);
         bool ok = checksumsMatch(report, base);
-        all_ok = all_ok && ok;
+        checksums_ok = checksums_ok && ok;
         Aggregate lat = report.fleetLatencyMs();
         std::printf("\npaced edf @ %.1f FPS/session: fleet FPS %.2f, "
                     "miss rate %.1f%%, lat p99 %.2f ms%s\n",
@@ -425,7 +361,7 @@ main(int argc, char **argv)
     double half_res_db = std::numeric_limits<double>::infinity();
     bool warp_ok = true;
     bool overload_ok = true;
-    if (overload && overload_frames > 0) {
+    if (!no_overload && overload_frames > 0) {
         // Measured Full-tier cost calibrates the offered load, so the
         // sweep stresses the scheduler identically at any --scale.
         // Capacity counts real parallelism: --threads beyond the
@@ -568,8 +504,9 @@ main(int argc, char **argv)
                         warp_ok ? "ok" : "CONTRACT VIOLATED",
                         std::isinf(half_res_db) ? 999.0 : half_res_db);
         }
-        all_ok = all_ok && overload_ok && warp_ok;
     }
+    const bool all_ok =
+        checksums_ok && temporal_ok && overload_ok && warp_ok;
 
     // ---- JSON snapshot. ----
     std::ostringstream json;
@@ -652,7 +589,8 @@ main(int argc, char **argv)
     // Per-stage summaries + metrics registry for the whole run (all
     // policies combined).
     json << ",\n  \"observability\": " << obs::observabilityJson();
-    json << ",\n  \"checksums_ok\": " << (all_ok ? "true" : "false")
+    json << ",\n  \"checksums_ok\": " << (checksums_ok ? "true" : "false")
+         << ",\n  \"all_ok\": " << (all_ok ? "true" : "false")
          << "\n}\n";
 
     if (out_path != "-") {
@@ -673,18 +611,18 @@ main(int argc, char **argv)
         }
         std::printf("wrote %s\n", trace_path.c_str());
     }
+    if (!checksums_ok)
+        std::fprintf(stderr, "ERROR: scheduled checksums diverged from "
+                             "the serial baseline\n");
     if (!temporal_ok)
         std::fprintf(stderr, "ERROR: temporal mode violated its "
                              "fidelity contract\n");
-    else if (!overload_ok)
+    if (!overload_ok)
         std::fprintf(stderr,
                      "ERROR: degradation ladder goodput did not beat "
                      "drop-only shedding at >= 2x overload\n");
-    else if (!warp_ok)
+    if (!warp_ok)
         std::fprintf(stderr, "ERROR: forced-warp tier under the 40 dB "
                              "PSNR floor\n");
-    else if (!all_ok)
-        std::fprintf(stderr, "ERROR: scheduled checksums diverged from "
-                             "the serial baseline\n");
     return all_ok ? 0 : 1;
 }

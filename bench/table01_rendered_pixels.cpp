@@ -82,7 +82,7 @@ int
 main()
 {
     using namespace gcc3d;
-    float scale = benchScale();
+    float scale = bench::benchScale();
     bench::banner("Table 1 / Fig. 4",
                   "rendered pixels per frame by bounding method", scale);
 

@@ -26,7 +26,7 @@ main()
     using namespace gcc3d;
     // Quality needs no population scale to be meaningful; use half the
     // bench scale to keep the near-exact ground-truth render cheap.
-    float scale = 0.5f * benchScale();
+    float scale = 0.5f * bench::benchScale();
     bench::banner("Table 2", "rendering quality (vs near-exact ground "
                   "truth; SSIM substitutes LPIPS)", scale);
 

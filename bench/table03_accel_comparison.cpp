@@ -20,7 +20,7 @@ int
 main()
 {
     using namespace gcc3d;
-    float scale = benchScale();
+    float scale = bench::benchScale();
     bench::banner("Table 3", "cross-accelerator comparison (Lego)",
                   scale);
 

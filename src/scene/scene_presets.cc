@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
 #include <stdexcept>
 
 namespace gcc3d {
@@ -182,22 +181,6 @@ citySpec(std::size_t gaussian_count)
     s.fov_x = 1.05f;
     s.camera_height = 0.25f;
     return s;
-}
-
-float
-benchScale()
-{
-    // 0.25 keeps the full figure suite tractable on a laptop-class
-    // single core while preserving all population *ratios*; set
-    // GCC3D_SCALE=1.0 for paper-scale counts.
-    constexpr float kDefault = 0.25f;
-    const char *env = std::getenv("GCC3D_SCALE");
-    if (env == nullptr)
-        return kDefault;
-    float v = std::strtof(env, nullptr);
-    if (v <= 0.0f || v > 1.0f)
-        return kDefault;
-    return v;
 }
 
 } // namespace gcc3d

@@ -54,13 +54,6 @@ SceneId sceneFromName(const std::string &name);
  */
 SceneSpec citySpec(std::size_t gaussian_count = 10000000);
 
-/**
- * Population scale used by benchmarks; reads the GCC3D_SCALE
- * environment variable (default 1.0 = paper-scale populations).
- * Unit tests pass explicit small scales instead.
- */
-float benchScale();
-
 } // namespace gcc3d
 
 #endif // GCC3D_SCENE_SCENE_PRESETS_H
