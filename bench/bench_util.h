@@ -11,6 +11,7 @@
 #ifndef GCC3D_BENCH_BENCH_UTIL_H
 #define GCC3D_BENCH_BENCH_UTIL_H
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <string>
@@ -119,13 +120,13 @@ parseSceneList(const std::string &arg)
     return out;
 }
 
-/** The successful rows of @p table whose variant name starts with @p prefix. */
+/** The successful rows of @p table that ran config variant @p v. */
 inline std::vector<JobResult>
-rowsByVariantPrefix(const ResultTable &table, const std::string &prefix)
+rowsOfVariant(const ResultTable &table, const ConfigVariant &v)
 {
     std::vector<JobResult> out;
     for (const JobResult &r : table.rows())
-        if (r.ok && r.variant.rfind(prefix, 0) == 0)
+        if (r.ok && r.variant == v.name)
             out.push_back(r);
     return out;
 }
@@ -153,6 +154,15 @@ banner(const std::string &id, const std::string &what, float scale)
                 "(GCC3D_SCALE to change)\n", scale);
     std::printf("==================================================="
                 "=============\n");
+}
+
+/** Wall-clock milliseconds elapsed since @p start. */
+inline double
+nowMsSince(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
 }
 
 /** Horizontal separator. */

@@ -36,7 +36,7 @@ main()
     std::printf("%-10s | %8s %8s | %22s | %10s\n", "", "speedup",
                 "speedup", "DRAM (3D/2D/KV, norm.)", "render ops");
     std::printf("%-10s | %8s %8s | %22s | %10s\n", "scene", "GW",
-                "GW+CC", "base -> GW -> GW+CC", "GCC/base");
+                "GW+CC", "base -> GW -> GW+CC", "base/GCC");
     bench::rule();
 
     for (SceneId id : scenes) {
@@ -74,7 +74,7 @@ main()
                     "%9.2fx\n",
                     spec.name.c_str(), gw.fps / base.fps,
                     cc.fps / base.fps,
-                    norm(gw.dram_bytes_total + gw.dram_bytes_meta * 0),
+                    norm(gw.dram_bytes_total),
                     norm(cc.dram_bytes_total), base_ops / cc_ops);
 
         std::printf("%-10s |   DRAM detail (MB): base 3D=%.1f 2D=%.1f "

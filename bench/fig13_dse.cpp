@@ -18,6 +18,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench_util.h"
 
@@ -34,11 +35,14 @@ main()
     spec.backends = {Backend::Gcc};
     spec.variants.clear();
 
+    // Each sweep keeps the variants it built, so the printed swept
+    // values come from the configurations that ran.
+    std::vector<ConfigVariant> buffers, arrays, arrays_8x8;
     for (double kb : {32.0, 128.0, 512.0, 2048.0, 8192.0}) {
         ConfigVariant v;
         v.name = "buf=" + std::to_string(static_cast<int>(kb));
         v.gcc.image_buffer_kb = kb;
-        spec.variants.push_back(v);
+        buffers.push_back(v);
     }
     // The PE array tiles one block per pass; shrink the block to the
     // array so boundary-identification granularity matches
@@ -55,7 +59,7 @@ main()
         v.gcc.alpha_pes = pes;
         v.gcc.blend_pes = pes;
         v.gcc.block_size = blockSide(pes);
-        spec.variants.push_back(v);
+        arrays.push_back(v);
     }
     // Intermediate array sizes keep the paper's 8x8 block granularity
     // and pay multiple passes per block.
@@ -64,8 +68,11 @@ main()
         v.name = "pes8x8=" + std::to_string(pes);
         v.gcc.alpha_pes = pes;
         v.gcc.blend_pes = pes;
-        spec.variants.push_back(v);
+        arrays_8x8.push_back(v);
     }
+    for (const auto *sweep : {&buffers, &arrays, &arrays_8x8})
+        spec.variants.insert(spec.variants.end(), sweep->begin(),
+                             sweep->end());
 
     ResultTable table = bench::runSweep(spec);
 
@@ -73,30 +80,28 @@ main()
     std::printf("%-10s %8s %10s %10s %12s %12s\n", "buffer", "mode",
                 "FPS", "mm^2", "FPS/mm^2", "mJ/mm^2");
     bench::rule();
-    for (const JobResult &r : bench::rowsByVariantPrefix(table, "buf=")) {
-        double kb = std::atof(r.variant.c_str() + 4);
-        std::printf("%7.0fKB %8s %10.1f %10.2f %12.2f %12.3f\n", kb,
-                    r.cmode ? "Cmode" : "full", r.fps, r.area_mm2,
-                    r.fps / r.area_mm2, r.energy_mj / r.area_mm2);
-    }
+    for (const ConfigVariant &v : buffers)
+        for (const JobResult &r : bench::rowsOfVariant(table, v))
+            std::printf("%7.0fKB %8s %10.1f %10.2f %12.2f %12.3f\n",
+                        v.gcc.image_buffer_kb, r.cmode ? "Cmode" : "full",
+                        r.fps, r.area_mm2, r.fps / r.area_mm2,
+                        r.energy_mj / r.area_mm2);
 
     std::printf("\n(b) alpha & blending array size sweep\n");
     std::printf("%-10s %10s %10s %12s %12s\n", "PEs", "FPS", "mm^2",
                 "FPS/mm^2", "mJ/mm^2");
     bench::rule();
-    for (const JobResult &r : bench::rowsByVariantPrefix(table, "pes=")) {
-        int pes = std::atoi(r.variant.c_str() + 4);
-        int side = blockSide(pes);
-        std::printf("%3d (%dx%d) %10.1f %10.2f %12.2f %12.3f\n", pes,
-                    side, side, r.fps, r.area_mm2, r.fps / r.area_mm2,
-                    r.energy_mj / r.area_mm2);
-    }
-    for (const JobResult &r : bench::rowsByVariantPrefix(table, "pes8x8=")) {
-        int pes = std::atoi(r.variant.c_str() + 7);
-        std::printf("%3d (8x8 blocks) %4.1f %10.2f %12.2f %12.3f\n", pes,
-                    r.fps, r.area_mm2, r.fps / r.area_mm2,
-                    r.energy_mj / r.area_mm2);
-    }
+    for (const ConfigVariant &v : arrays)
+        for (const JobResult &r : bench::rowsOfVariant(table, v))
+            std::printf("%3d (%dx%d) %10.1f %10.2f %12.2f %12.3f\n",
+                        v.gcc.alpha_pes, v.gcc.block_size,
+                        v.gcc.block_size, r.fps, r.area_mm2,
+                        r.fps / r.area_mm2, r.energy_mj / r.area_mm2);
+    for (const ConfigVariant &v : arrays_8x8)
+        for (const JobResult &r : bench::rowsOfVariant(table, v))
+            std::printf("%3d (8x8 blocks) %4.1f %10.2f %12.2f %12.3f\n",
+                        v.gcc.alpha_pes, r.fps, r.area_mm2,
+                        r.fps / r.area_mm2, r.energy_mj / r.area_mm2);
     std::printf("\npaper: 128 KB buffer and the 8x8 array maximize "
                 "area-normalized performance.\n");
     return 0;

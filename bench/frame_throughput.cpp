@@ -21,10 +21,10 @@
  *
  * Every variant also reports a per-stage wall-clock breakdown
  * (preprocess / binning / rasterize, from StageTimes) so
- * BENCH_frame.json records where the cycles went; with --fast-alpha
- * the opt-in simdExp alpha path is timed as extra `tile-fa` / `gw-fa`
- * variants and validated by PSNR against the exact image (reported,
- * and required to clear 55 dB).
+ * BENCH_frame.json records where the cycles went.  Every path
+ * evaluates alpha with simdExp (gsmath/ellipse.h splatAlpha); its
+ * >= 55 dB accuracy contract against std::exp is a unit test, not a
+ * bench variant.
  *
  * With --trajectory a temporal-coherence section replays a slow-orbit
  * held camera stream (forSceneArc(--arc) with each pose held --hold
@@ -65,25 +65,17 @@
 namespace {
 
 using namespace gcc3d;
+using gcc3d::bench::nowMsSince;
 using gcc3d::bench::splitList;
-
-double
-nowMsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
 
 /** What one timed variant runs. */
 struct Variant
 {
     std::string name;     ///< row label, e.g. "gw-t4"
-    std::string family;   ///< checksum group (tile/gw/tile-fa/gw-fa)
+    std::string family;   ///< checksum group (tile/gw)
     bool reference = false;
     ThreadPool *pool = nullptr;
     int threads = 0;      ///< 0 = not part of the thread sweep
-    bool fast = false;    ///< fast-alpha (simdExp) configuration
     double check = 0.0;   ///< checksum summed over all timed frames
     StageTimes stage_sum{}; ///< per-stage ms summed over timed frames
     std::size_t stage_samples = 0;
@@ -110,7 +102,6 @@ main(int argc, char **argv)
     double traj_arc = 0.001;
     bool trajectory = false;
     bool reference = false;
-    bool fast_alpha = false;
     float scale = bench::benchScale();
 
     flags::Parser cli;
@@ -129,9 +120,6 @@ main(int argc, char **argv)
     cli.add("--subview N", &subview,
             "Gaussian-wise Cmode sub-view side; 0 = full view")
         .min(0);
-    cli.add("--fast-alpha", &fast_alpha,
-            "also time the simdExp fast-alpha paths (tile-fa/gw-fa "
-            "variants + PSNR check)");
     cli.add("--workers N", &workers,
             "pool for the base tile/gw variants; < 2 = serial")
         .min(0).max(bench::kMaxWorkers);
@@ -194,11 +182,10 @@ main(int argc, char **argv)
     bench::banner("frame_throughput",
                   "host frames/s of the functional renderers", scale);
     std::printf("frames/scene %d, reps %d, base workers %d, gw sub-view "
-                "%d%s%s%s\n",
+                "%d%s%s\n",
                 frames, reps, workers, subview,
                 reference ? ", scalar references timed" : "",
-                thread_counts.empty() ? "" : ", thread sweep on",
-                fast_alpha ? ", fast-alpha timed" : "");
+                thread_counts.empty() ? "" : ", thread sweep on");
 
     ThreadPool base_pool(workers);
     ThreadPool *pool_or_null = workers > 1 ? &base_pool : nullptr;
@@ -235,13 +222,6 @@ main(int argc, char **argv)
         double speedup_vs_t1;  ///< from ms_min (noise-robust)
     };
     std::vector<ScalingRow> scaling;
-    struct PsnrRow
-    {
-        std::string scene;
-        std::string renderer;
-        double psnr_db;
-    };
-    std::vector<PsnrRow> psnr_rows;
     struct StageRow
     {
         double pre_ms = 0.0;
@@ -270,10 +250,6 @@ main(int argc, char **argv)
 
     GaussianWiseConfig gw_cfg;
     gw_cfg.subview_size = subview;
-    GaussianWiseConfig gw_fa_cfg = gw_cfg;
-    gw_fa_cfg.fast_alpha = true;
-    TileRendererConfig tile_fa_cfg;
-    tile_fa_cfg.fast_alpha = true;
 
     for (SceneId id : scenes) {
         SceneSpec spec = scenePreset(id);
@@ -288,43 +264,30 @@ main(int argc, char **argv)
         std::vector<Variant> variants;
         if (run_tile) {
             variants.push_back(
-                {"tile", "tile", false, pool_or_null, 0, false});
+                {"tile", "tile", false, pool_or_null, 0});
             if (reference)
                 variants.push_back(
-                    {"tile-ref", "tile", true, nullptr, 0, false});
+                    {"tile-ref", "tile", true, nullptr, 0});
             for (int t : thread_counts)
                 variants.push_back(
                     {"tile-t" + std::to_string(t), "tile", false,
-                     t > 1 ? sweep_pools.at(t).get() : nullptr, t,
-                     false});
-            if (fast_alpha)
-                variants.push_back({"tile-fa", "tile-fa", false,
-                                    pool_or_null, 0, true});
+                     t > 1 ? sweep_pools.at(t).get() : nullptr, t});
         }
         if (run_gw) {
             variants.push_back(
-                {"gw", "gw", false, pool_or_null, 0, false});
+                {"gw", "gw", false, pool_or_null, 0});
             if (reference)
                 variants.push_back(
-                    {"gw-ref", "gw", true, nullptr, 0, false});
+                    {"gw-ref", "gw", true, nullptr, 0});
             for (int t : thread_counts)
                 variants.push_back(
                     {"gw-t" + std::to_string(t), "gw", false,
-                     t > 1 ? sweep_pools.at(t).get() : nullptr, t,
-                     false});
-            if (fast_alpha)
-                variants.push_back(
-                    {"gw-fa", "gw-fa", false, pool_or_null, 0, true});
+                     t > 1 ? sweep_pools.at(t).get() : nullptr, t});
         }
 
         TileRenderer tile_renderer;
-        TileRenderer tile_renderer_fa(tile_fa_cfg);
         GaussianWiseRenderer gw_renderer(gw_cfg);
-        GaussianWiseRenderer gw_renderer_fa(gw_fa_cfg);
 
-        auto is_tile_family = [](const Variant &v) {
-            return v.family.rfind("tile", 0) == 0;
-        };
         auto render_once = [&](Variant &v, int frame,
                                bool record) -> std::pair<double, double> {
             const Camera &cam =
@@ -332,21 +295,17 @@ main(int argc, char **argv)
             auto start = std::chrono::steady_clock::now();
             Image img;
             StageTimes stage;
-            if (is_tile_family(v)) {
+            if (v.family == "tile") {
                 StandardFlowStats st;
-                const TileRenderer &r =
-                    v.fast ? tile_renderer_fa : tile_renderer;
                 img = v.reference
-                          ? r.renderReference(cloud, cam, st)
-                          : r.render(cloud, cam, st, v.pool);
+                          ? tile_renderer.renderReference(cloud, cam, st)
+                          : tile_renderer.render(cloud, cam, st, v.pool);
                 stage = st.stage;
             } else {
                 GaussianWiseStats st;
-                const GaussianWiseRenderer &r =
-                    v.fast ? gw_renderer_fa : gw_renderer;
                 img = v.reference
-                          ? r.renderReference(cloud, cam, st)
-                          : r.render(cloud, cam, st, v.pool);
+                          ? gw_renderer.renderReference(cloud, cam, st)
+                          : gw_renderer.render(cloud, cam, st, v.pool);
                 stage = st.stage;
             }
             double ms = nowMsSince(start);
@@ -400,39 +359,10 @@ main(int argc, char **argv)
                 v.stage_sum.raster_ms / n};
         }
 
-        // Fast-alpha accuracy: PSNR of the simdExp image against the
-        // exact image (frame 0); the contract is >= 55 dB.
-        if (fast_alpha) {
-            const Camera &cam0 = traj.frame(0);
-            auto clamp_inf = [](double p) {
-                return std::isinf(p) ? 999.0 : p;
-            };
-            if (run_tile) {
-                StandardFlowStats s1, s2;
-                double p = clamp_inf(
-                    psnr(tile_renderer.render(cloud, cam0, s1),
-                         tile_renderer_fa.render(cloud, cam0, s2)));
-                std::printf("%-10s tile fast-alpha PSNR: %.1f dB\n",
-                            scene.c_str(), p);
-                psnr_rows.push_back({scene, "tile", p});
-            }
-            if (run_gw) {
-                GaussianWiseStats s1, s2;
-                double p = clamp_inf(
-                    psnr(gw_renderer.render(cloud, cam0, s1),
-                         gw_renderer_fa.render(cloud, cam0, s2)));
-                std::printf("%-10s gw   fast-alpha PSNR: %.1f dB\n",
-                            scene.c_str(), p);
-                psnr_rows.push_back({scene, "gw", p});
-            }
-        }
-
         // Every variant of a renderer family is bit-identical
         // (optimized vs scalar reference, serial vs any worker
-        // count); their summed checksums must agree exactly.  The
-        // fast-alpha variants form their own families: approximate,
-        // but still deterministic run to run.
-        for (const char *family : {"tile", "gw", "tile-fa", "gw-fa"}) {
+        // count); their summed checksums must agree exactly.
+        for (const char *family : {"tile", "gw"}) {
             const Variant *first = nullptr;
             for (const Variant &v : variants) {
                 if (v.family != family)
@@ -678,21 +608,6 @@ main(int argc, char **argv)
                           "\"renderer\": \"%s\", \"speedup\": %.4f}",
                           first ? "" : ",\n", s.scene.c_str(),
                           s.renderer.c_str(), s.speedup);
-            json += line;
-            first = false;
-        }
-        json += "\n  ]";
-    }
-    if (!psnr_rows.empty()) {
-        json += ",\n  \"fast_alpha_psnr\": [\n";
-        bool first = true;
-        for (const PsnrRow &p : psnr_rows) {
-            char line[200];
-            std::snprintf(line, sizeof line,
-                          "%s    {\"scene\": \"%s\", "
-                          "\"renderer\": \"%s\", \"psnr_db\": %.4f}",
-                          first ? "" : ",\n", p.scene.c_str(),
-                          p.renderer.c_str(), p.psnr_db);
             json += line;
             first = false;
         }

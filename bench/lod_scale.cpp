@@ -45,14 +45,7 @@
 namespace {
 
 using namespace gcc3d;
-
-double
-nowMsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
+using gcc3d::bench::nowMsSince;
 
 std::string
 tmpPath(const std::string &stem)

@@ -11,10 +11,11 @@
  * Exp outcome on this codebase (the ExpLut satellite audit): ExpLut
  * exists to model the GCC Alpha Unit's fixed-point datapath and is
  * used only by core/alpha_unit (cycle sim); no host-side render hot
- * path consumes it — the renderers use std::exp (exact paths) or
- * simd::simdExp (fast-alpha).  The BM_Exp* trio documents why: the
- * LUT's fixed-point quantization costs more than libm's exp on a
- * modern host, and the vectorized polynomial beats both per value.
+ * path consumes it — every renderer evaluates alpha with
+ * simd::simdExp (scalar references: its lane-identical
+ * simd::simdExpScalar).  The BM_Exp* trio documents why: the LUT's
+ * fixed-point quantization costs more than libm's exp on a modern
+ * host, and the vectorized polynomial beats both per value.
  */
 
 #include <benchmark/benchmark.h>

@@ -42,15 +42,8 @@
 namespace {
 
 using namespace gcc3d;
+using gcc3d::bench::nowMsSince;
 using gcc3d::bench::splitList;
-
-double
-nowMsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
 
 } // namespace
 

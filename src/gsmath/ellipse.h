@@ -20,12 +20,31 @@
 #include <cstdint>
 
 #include "gsmath/mat.h"
+#include "gsmath/simd.h"
 #include "gsmath/vec.h"
 
 namespace gcc3d {
 
 /** Minimum alpha a pixel must receive to be considered covered (1/255). */
 inline constexpr float kAlphaMin = 1.0f / 255.0f;
+
+/** An exponential alpha can be evaluated with. */
+using ExpFn = float (*)(float);
+
+/**
+ * The one alpha definition (Eq. 9): min(0.99, omega * exp(-q/2)) for
+ * the quadratic form @p q.  Every scalar site evaluates it with
+ * simd::simdExpScalar, lane-identical to the simd::simdExp the vector
+ * kernels use, so kernels and scalar references agree bit for bit.
+ * The clamp is written as simd::min(0.99, a) evaluates it.  @p exp is
+ * a seam for accuracy tests only: they render a std::exp ground truth.
+ */
+inline float
+splatAlpha(float omega, float q, ExpFn exp = simd::simdExpScalar)
+{
+    float a = omega * exp(-0.5f * q);
+    return 0.99f < a ? 0.99f : a;
+}
 
 /** Eigenvalues (l1 >= l2) and rotation angle of a symmetric 2x2 matrix. */
 struct Eigen2
@@ -81,7 +100,7 @@ struct Ellipse
 
     /**
      * Mahalanobis quadratic form d^T Sigma'^-1 d for pixel offset
-     * d = p - center.  Alpha is omega * exp(-q/2).
+     * d = p - center.  Alpha is splatAlpha(omega, q).
      */
     float
     quadraticForm(const Vec2 &p) const
@@ -95,9 +114,7 @@ struct Ellipse
     float
     alphaAt(const Vec2 &p, float omega) const
     {
-        float q = quadraticForm(p);
-        float a = omega * std::exp(-0.5f * q);
-        return a > 0.99f ? 0.99f : a;
+        return splatAlpha(omega, quadraticForm(p));
     }
 };
 

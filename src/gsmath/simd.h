@@ -823,8 +823,9 @@ inline constexpr float kExpHi = 88.3762626647949f;
  * [-87.3, 88.3].  Inputs are clamped to that interval first, so the
  * result is always a positive normal float — in particular
  * simdExpScalar(-inf) is ~1.2e-38, NOT 0.  Callers gating on an
- * alpha/cutoff threshold (the renderers' fast-alpha mode) are
- * unaffected: their inputs live in [-6, 0] by construction.
+ * alpha/cutoff threshold (every renderer's alpha, splatAlpha in
+ * gsmath/ellipse.h) are unaffected: wherever alpha can pass a
+ * cutoff, the exponent lies far above the clamp.
  */
 inline float
 simdExpScalar(float x)

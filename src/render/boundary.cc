@@ -54,10 +54,8 @@ pixelBoundary(const Ellipse &e, float omega, int width, int height,
             continue;  // fails E(p): convexity lets us stop here
 
         ++stats.influence_pixels;
-        if (visit) {
-            float a = std::min(0.99f, omega * std::exp(-0.5f * q));
-            visit(x, y, a);
-        }
+        if (visit)
+            visit(x, y, splatAlpha(omega, q));
 
         static constexpr int kDx[8] = {1, -1, 0, 0, 1, 1, -1, -1};
         static constexpr int kDy[8] = {0, 0, 1, -1, 1, -1, 1, -1};
@@ -103,7 +101,8 @@ BoundaryStats
 BlockTraversal::traverse(const Ellipse &e, float omega,
                          const std::vector<std::uint8_t> *t_mask,
                          const PixelVisitor &visit,
-                         const BlockVisitor &block_visit) const
+                         const BlockVisitor &block_visit,
+                         ExpFn exp) const
 {
     namespace bd = boundary_detail;
     BoundaryStats stats;
@@ -199,11 +198,8 @@ BlockTraversal::traverse(const Ellipse &e, float omega,
                             block_visit(bx, by);
                         visited_block = true;
                     }
-                    if (visit) {
-                        float a = std::min(0.99f,
-                                           omega * std::exp(-0.5f * q));
-                        visit(x, y, a);
-                    }
+                    if (visit)
+                        visit(x, y, splatAlpha(omega, q, exp));
                 }
             }
         }

@@ -177,23 +177,23 @@ class BlockTraversal
      *                   block is not masked (may be null)
      * @param block_visit called per active (passing, unmasked) block
      *                    before its pixels are visited (may be null)
+     * @param exp        exponential of the visited alpha (splatAlpha);
+     *                   only accuracy tests pass anything else
      */
     BoundaryStats traverse(const Ellipse &e, float omega,
                            const std::vector<std::uint8_t> *t_mask,
                            const PixelVisitor &visit,
-                           const BlockVisitor &block_visit = nullptr) const;
+                           const BlockVisitor &block_visit = nullptr,
+                           ExpFn exp = simd::simdExpScalar) const;
 
     /**
      * Fast statically-dispatched traversal: identical walk order,
-     * pass/fail decisions and statistics to traverse(), with three
-     * hot-loop optimizations the scalar path deliberately omits:
+     * pass/fail decisions, visited alphas and statistics to
+     * traverse(), with hot-loop optimizations the scalar path
+     * deliberately omits:
      *
      *  - the visitors are template parameters (no std::function call
      *    per pixel);
-     *  - the visitor receives the quadratic form q instead of the
-     *    alpha, so the exp() is paid lazily — only for pixels whose
-     *    transmittance is still live (alpha = min(0.99, omega *
-     *    exp(-0.5 q)), bit-identical where it is computed);
      *  - within a visited block, each pixel row is restricted to the
      *    margin-padded interval where the conic can still reach the
      *    alpha threshold (the tile renderer's row-interval bound);
@@ -203,21 +203,14 @@ class BlockTraversal
      *  - each row interval is evaluated kWidth pixels at a time
      *    through the gsmath SIMD layer — every lane runs the exact
      *    scalar op sequence, so q (and every E(p) decision) stays
-     *    bit-identical to the scalar reference.
+     *    bit-identical to the scalar reference, and the lane group's
+     *    alphas come from simd::simdExp, lane-identical to the
+     *    reference's splatAlpha.
      *
-     * With PassAlpha = true (the renderers' opt-in fast-alpha mode)
-     * the traversal additionally evaluates alpha for the whole lane
-     * group with the vectorized polynomial exponential and hands the
-     * visitor alpha = min(0.99, omega * simdExp(-q/2)) instead of q.
-     * Walk order, pass/fail decisions and stats are unchanged; only
-     * the alpha value is approximate (simdExp contract: relative
-     * error < 3e-7).
-     *
-     * @p visit   callable (int x, int y, float q_or_alpha)
+     * @p visit   callable (int x, int y, float alpha)
      * @p block_visit callable (int bx, int by)
      */
-    template <bool PassAlpha = false, typename Visit,
-              typename BlockVisit>
+    template <typename Visit, typename BlockVisit>
     BoundaryStats
     traverseWith(const Ellipse &e, float omega,
                  const std::vector<std::uint8_t> *t_mask, Visit &&visit,
@@ -364,16 +357,11 @@ class BlockTraversal
                             ~(qv > cutoff_v).bits();
                         if (bits == 0)
                             continue;
-                        float qa_lane[simd::kWidth];
-                        if constexpr (PassAlpha)
-                            simd::min(simd::FloatV(0.99f),
-                                      omega_v *
-                                          simd::simdExp(
-                                              qv *
-                                              simd::FloatV(-0.5f)))
-                                .store(qa_lane);
-                        else
-                            qv.store(qa_lane);
+                        float alane[simd::kWidth];
+                        simd::min(simd::FloatV(0.99f),
+                                  omega_v * simd::simdExp(
+                                                qv * simd::FloatV(-0.5f)))
+                            .store(alane);
                         do {
                             const int i = std::countr_zero(bits);
                             bits &= bits - 1;
@@ -383,7 +371,7 @@ class BlockTraversal
                                 block_visit(bx, by);
                                 visited_block = true;
                             }
-                            visit(x + i, y, qa_lane[i]);
+                            visit(x + i, y, alane[i]);
                         } while (bits != 0);
                     }
                 }

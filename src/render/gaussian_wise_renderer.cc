@@ -261,7 +261,6 @@ GaussianWiseRenderer::renderView(const GaussianCloud &cloud,
     // alias float members under type-based aliasing, forcing reloads.
     const float termination_t = config_.termination_t;
     const int block_size = config_.block_size;
-    const bool fast_alpha = config_.fast_alpha;
     std::int64_t live = static_cast<std::int64_t>(view_w) * view_h;
 
     // ---- Stages II-IV, group by group, near to far. ----
@@ -371,51 +370,27 @@ GaussianWiseRenderer::renderView(const GaussianCloud &cloud,
             // references, so per-pixel increments would be memory
             // read-modify-writes in the hottest loop.
             std::int64_t splat_blends = 0;
-            auto blend_body = [&](int x, int y, float a, float &t) {
-                ++splat_blends;
-                image.at(view_x0 + x, view_y0 + y) += color * (a * t);
-                t *= 1.0f - a;
-                if (t < termination_t) {
-                    --live;
-                    std::size_t bi =
-                        static_cast<std::size_t>(y / block_size) *
-                            bx_n +
-                        (x / block_size);
-                    if (--block_live[bi] == 0)
-                        t_mask[bi] = 1;
-                }
-            };
-            BoundaryStats bs;
-            if (fast_alpha) {
-                // Fast-alpha: the traversal hands back a vectorized
-                // polynomial alpha (simdExp) per passing pixel.
-                bs = traversal.traverseWith<true>(
-                    local, opacity, &scratch.t_mask,
-                    [&](int x, int y, float a) {
-                        float &t = transmittance[
-                            static_cast<std::size_t>(y) * view_w + x];
-                        if (t < termination_t)
-                            return;
-                        blend_body(x, y, a, t);
-                    },
-                    [](int, int) {});
-            } else {
-                bs = traversal.traverseWith(
-                    local, opacity, &scratch.t_mask,
-                    [&](int x, int y, float q) {
-                        float &t = transmittance[
-                            static_cast<std::size_t>(y) * view_w + x];
-                        if (t < termination_t)
-                            return;
-                        // Lazy alpha: the exp is paid only for live
-                        // pixels, with the traversal's exact
-                        // expression.
-                        float a = std::min(
-                            0.99f, opacity * std::exp(-0.5f * q));
-                        blend_body(x, y, a, t);
-                    },
-                    [](int, int) {});
-            }
+            BoundaryStats bs = traversal.traverseWith(
+                local, opacity, &scratch.t_mask,
+                [&](int x, int y, float a) {
+                    float &t = transmittance[
+                        static_cast<std::size_t>(y) * view_w + x];
+                    if (t < termination_t)
+                        return;
+                    ++splat_blends;
+                    image.at(view_x0 + x, view_y0 + y) += color * (a * t);
+                    t *= 1.0f - a;
+                    if (t < termination_t) {
+                        --live;
+                        std::size_t bi =
+                            static_cast<std::size_t>(y / block_size) *
+                                bx_n +
+                            (x / block_size);
+                        if (--block_live[bi] == 0)
+                            t_mask[bi] = 1;
+                    }
+                },
+                [](int, int) {});
             stats.alpha_evals += bs.alpha_evals;
             stats.visited_blocks += bs.visited_blocks;
             stats.influence_pixels += bs.influence_pixels;
@@ -441,7 +416,7 @@ GaussianWiseRenderer::renderViewReference(
     const std::vector<std::uint32_t> &candidates,
     const std::vector<float> &depths, int view_x0, int view_y0,
     int view_w, int view_h, Image &image, GaussianWiseStats &stats,
-    std::vector<std::uint8_t> &flags) const
+    std::vector<std::uint8_t> &flags, ExpFn exp) const
 {
     // ---- Stage I: grouping over candidate positions. ----
     std::vector<std::uint32_t> positions(candidates.size());
@@ -611,7 +586,8 @@ GaussianWiseRenderer::renderViewReference(
                         if (--block_live[bi] == 0)
                             t_mask[bi] = 1;
                     }
-                });
+                },
+                nullptr, exp);
             stats.alpha_evals += bs.alpha_evals;
             stats.visited_blocks += bs.visited_blocks;
             stats.influence_pixels += bs.influence_pixels;
@@ -836,7 +812,8 @@ GaussianWiseRenderer::render(const GaussianCloud &cloud, const Camera &cam,
 Image
 GaussianWiseRenderer::renderReference(const GaussianCloud &cloud,
                                       const Camera &cam,
-                                      GaussianWiseStats &stats) const
+                                      GaussianWiseStats &stats,
+                                      ExpFn exp) const
 {
     stats.total = static_cast<std::int64_t>(cloud.size());
     Image image(cam.width(), cam.height());
@@ -861,7 +838,7 @@ GaussianWiseRenderer::renderReference(const GaussianCloud &cloud,
         std::vector<std::uint8_t> flags(candidates.size(), 0);
         renderViewReference(cloud, cam, candidates, depths, 0, 0,
                             cam.width(), cam.height(), image, stats,
-                            flags);
+                            flags, exp);
         classifyFlags(flags, stats);
         stage_timer.lap(obs::Stage::Raster, &stats.stage.raster_ms);
         return image;
@@ -914,7 +891,7 @@ GaussianWiseRenderer::renderReference(const GaussianCloud &cloud,
                 depths[i] = cam.worldToView(cloud[bin[i]].mean).z;
             std::vector<std::uint8_t> flags(bin.size(), 0);
             renderViewReference(cloud, cam, bin, depths, x0, y0, w, h,
-                                image, stats, flags);
+                                image, stats, flags, exp);
             for (std::size_t i = 0; i < bin.size(); ++i)
                 flags_by_id[bin[i]] |= flags[i];
         }

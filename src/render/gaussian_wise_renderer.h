@@ -39,6 +39,9 @@
  * Both produce bit-identical images and identical GaussianWiseStats
  * (including the group trace); tests/test_gw_equivalence.cc locks
  * that in across view modes, conditional settings and thread counts.
+ * Both evaluate alpha as splatAlpha (gsmath/ellipse.h) defines it:
+ * render() with the vector simd::simdExp, renderReference() with its
+ * lane-identical scalar transcription.
  */
 
 #ifndef GCC3D_RENDER_GAUSSIAN_WISE_RENDERER_H
@@ -79,17 +82,6 @@ struct GaussianWiseConfig
      * view at once (no Cmode).
      */
     int subview_size = 0;
-
-    /**
-     * Opt-in fast-alpha mode: render() evaluates alpha with the
-     * vectorized polynomial exponential (simd::simdExp, relative
-     * error < 3e-7) instead of std::exp.  NOT bit-identical to
-     * renderReference — the contract is perceptual: >= 55 dB PSNR
-     * against the exact image on every preset scene
-     * (tests/test_gw_equivalence.cc).  Off by default; the bit-
-     * exactness guarantees elsewhere in this header assume it is off.
-     */
-    bool fast_alpha = false;
 
     /**
      * Copy with degenerate values clamped to the smallest legal
@@ -173,10 +165,13 @@ class GaussianWiseRenderer
      * Render a frame through the retained scalar reference
      * implementation.  Used by the equivalence tests and the
      * frame-throughput benchmark as the speedup baseline; produces
-     * bit-identical images and stats to render().
+     * bit-identical images and stats to render().  @p exp is the
+     * alpha exponential (splatAlpha): the accuracy tests pass
+     * std::exp to render the ground truth render() is held to.
      */
     Image renderReference(const GaussianCloud &cloud, const Camera &cam,
-                          GaussianWiseStats &stats) const;
+                          GaussianWiseStats &stats,
+                          ExpFn exp = simd::simdExpScalar) const;
 
   private:
     struct ViewScratch;
@@ -209,7 +204,8 @@ class GaussianWiseRenderer
                              int view_x0, int view_y0, int view_w,
                              int view_h, Image &image,
                              GaussianWiseStats &stats,
-                             std::vector<std::uint8_t> &flags) const;
+                             std::vector<std::uint8_t> &flags,
+                             ExpFn exp) const;
 
     GaussianWiseConfig config_;
 };

@@ -123,7 +123,6 @@ rasterOneTile(const TileRendererConfig &config, const SplatSoA &soa,
 {
     const int tile = config.tile_size;
     const int sub_n = (tile + kSub - 1) / kSub;
-    const bool fast_alpha = config.fast_alpha;
 
     int x0 = bx * tile;
     int y0 = by * tile;
@@ -191,6 +190,8 @@ rasterOneTile(const TileRendererConfig &config, const SplatSoA &soa,
         const simd::FloatV cxv(b.cx);
         const simd::FloatV q_skip_v(b.q_skip);
         const simd::FloatV half_v(0.5f);
+        const simd::FloatV opacity_v(b.opacity);
+        const simd::FloatV cutoff_v(config.alpha_cutoff);
         for (int y = ry0; y <= ry1; ++y) {
             if (row_live[y - y0] == 0)
                 continue;  // every pixel in the row terminated
@@ -209,17 +210,20 @@ rasterOneTile(const TileRendererConfig &config, const SplatSoA &soa,
                                 ~(q > q_skip_v).bits();
                 if (bits == 0)
                     continue;  // all lanes provably sub-cutoff
-                float qlane[simd::kWidth];
+                // splatAlpha per lane (simdExp is lane-identical to
+                // the reference's simdExpScalar); the cutoff test is
+                // the scalar `a < cutoff -> skip`, NaN ordering
+                // included, so it folds into the lane mask.
+                const simd::FloatV av = simd::min(
+                    simd::FloatV(0.99f),
+                    opacity_v * simd::simdExp(q * simd::FloatV(-0.5f)));
+                bits &= ~(av < cutoff_v).bits();
+                if (bits == 0)
+                    continue;
                 float alane[simd::kWidth];
-                if (fast_alpha)
-                    simd::min(simd::FloatV(0.99f),
-                              simd::FloatV(b.opacity) *
-                                  simd::simdExp(q * simd::FloatV(-0.5f)))
-                        .store(alane);
-                else
-                    q.store(qlane);
-                // Surviving lanes compact into the exact scalar
-                // alpha/blend path, front-to-back in x order.
+                av.store(alane);
+                // Surviving lanes compact into the scalar blend path,
+                // front-to-back in x order.
                 do {
                     const int i = std::countr_zero(bits);
                     bits &= bits - 1;
@@ -227,16 +231,7 @@ rasterOneTile(const TileRendererConfig &config, const SplatSoA &soa,
                     float &t = trow[px - x0];
                     if (t < config.termination_t)
                         continue;
-                    float a;
-                    if (fast_alpha) {
-                        a = alane[i];
-                    } else {
-                        a = b.opacity * std::exp(-0.5f * qlane[i]);
-                        if (a > 0.99f)
-                            a = 0.99f;
-                    }
-                    if (a < config.alpha_cutoff)
-                        continue;
+                    const float a = alane[i];
                     ++st.blend_ops;
                     contributed[si >> 6] |= std::uint64_t{1} << (si & 63);
                     image.at(px, y) += Vec3(b.r, b.g, b.b) * (a * t);
@@ -569,7 +564,6 @@ TileRenderer::renderTemporal(const GaussianCloud &cloud,
          cache.bounding_ != config_.bounding ||
          cache.termination_t_ != config_.termination_t ||
          cache.alpha_cutoff_ != config_.alpha_cutoff ||
-         cache.fast_alpha_ != config_.fast_alpha ||
          cache.cloud_size_ != cloud.size())) {
         cache.valid_ = false;
         cache.exact_valid_ = false;
@@ -798,7 +792,6 @@ TileRenderer::renderTemporal(const GaussianCloud &cloud,
     cache.bounding_ = config_.bounding;
     cache.termination_t_ = config_.termination_t;
     cache.alpha_cutoff_ = config_.alpha_cutoff;
-    cache.fast_alpha_ = config_.fast_alpha;
     cache.cloud_size_ = cloud.size();
     cache.camera_ = cam;
     cache.soa_ = std::move(soa);
@@ -822,7 +815,8 @@ TileRenderer::renderTemporal(const GaussianCloud &cloud,
 Image
 TileRenderer::renderReference(const GaussianCloud &cloud,
                               const Camera &cam,
-                              StandardFlowStats &stats) const
+                              StandardFlowStats &stats,
+                              ExpFn exp) const
 {
     const int width = cam.width();
     const int height = cam.height();
@@ -942,7 +936,8 @@ TileRenderer::renderReference(const GaussianCloud &cloud,
                         ++stats.pixels_touched;
                         Vec2 p(static_cast<float>(x) + 0.5f,
                                static_cast<float>(y) + 0.5f);
-                        float a = s.ellipse.alphaAt(p, s.opacity);
+                        float a = splatAlpha(
+                            s.opacity, s.ellipse.quadraticForm(p), exp);
                         if (a < config_.alpha_cutoff)
                             continue;
                         ++stats.blend_ops;

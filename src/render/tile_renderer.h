@@ -31,7 +31,10 @@
  * stable_sort, full-tile pixel sweeps.  Both produce bit-identical
  * images and identical StandardFlowStats;
  * tests/test_renderer_equivalence.cc locks that in across bounding
- * modes, tile sizes and worker counts.
+ * modes, tile sizes and worker counts.  Both evaluate alpha as
+ * splatAlpha (gsmath/ellipse.h) defines it: the pipeline with the
+ * vector simd::simdExp, renderReference() with its lane-identical
+ * scalar transcription.
  */
 
 #ifndef GCC3D_RENDER_TILE_RENDERER_H
@@ -57,18 +60,6 @@ struct TileRendererConfig
     BoundingMode bounding = BoundingMode::Obb3Sigma;
     float termination_t = 1e-4f;              ///< early-termination T
     float alpha_cutoff = kAlphaMin;           ///< min blended alpha
-
-    /**
-     * Opt-in fast-alpha mode: render() evaluates alpha with the
-     * vectorized polynomial exponential (simd::simdExp, relative
-     * error < 3e-7) instead of std::exp.  NOT bit-identical to
-     * renderReference — the contract is perceptual: >= 55 dB PSNR
-     * against the exact image on every preset scene
-     * (tests/test_renderer_equivalence.cc).  Off by default; every
-     * bit-exactness guarantee elsewhere in this header assumes it is
-     * off.
-     */
-    bool fast_alpha = false;
 
     /**
      * Near-exact settings used as the quality ground truth of Table 2:
@@ -165,10 +156,13 @@ class TileRenderer
      * (scalar binning into nested vectors, comparator stable_sort,
      * full-tile pixel sweeps).  Used by the equivalence tests and the
      * frame-throughput benchmark as the speedup baseline; produces
-     * bit-identical images and stats to render().
+     * bit-identical images and stats to render().  @p exp is the
+     * alpha exponential (splatAlpha): the accuracy tests pass
+     * std::exp to render the ground truth render() is held to.
      */
     Image renderReference(const GaussianCloud &cloud, const Camera &cam,
-                          StandardFlowStats &stats) const;
+                          StandardFlowStats &stats,
+                          ExpFn exp = simd::simdExpScalar) const;
 
     /**
      * Tile-binning only: returns the number of tiles each splat maps

@@ -13,81 +13,21 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <cmath>
 #include <string>
 
 #include "render/gaussian_wise_renderer.h"
 #include "render/metrics.h"
 #include "render/tile_renderer.h"
 #include "runtime/thread_pool.h"
+#include "equivalence_util.h"
 #include "test_util.h"
 
 namespace gcc3d {
 namespace {
 
-/** Bitwise image comparison: float-exact, reporting the first diff. */
-::testing::AssertionResult
-imagesBitIdentical(const Image &a, const Image &b)
-{
-    if (a.width() != b.width() || a.height() != b.height())
-        return ::testing::AssertionFailure() << "shape mismatch";
-    const auto &pa = a.pixels();
-    const auto &pb = b.pixels();
-    if (std::memcmp(pa.data(), pb.data(),
-                    pa.size() * sizeof(Vec3)) == 0)
-        return ::testing::AssertionSuccess();
-    for (std::size_t i = 0; i < pa.size(); ++i) {
-        if (std::memcmp(&pa[i], &pb[i], sizeof(Vec3)) != 0)
-            return ::testing::AssertionFailure()
-                   << "first differing pixel " << i << ": " << pa[i]
-                   << " vs " << pb[i];
-    }
-    return ::testing::AssertionFailure() << "memcmp/pixel walk disagree";
-}
-
-void
-expectStatsIdentical(const GaussianWiseStats &a, const GaussianWiseStats &b)
-{
-    EXPECT_EQ(a.total, b.total);
-    EXPECT_EQ(a.depth_culled, b.depth_culled);
-    EXPECT_EQ(a.projected, b.projected);
-    EXPECT_EQ(a.survived_cull, b.survived_cull);
-    EXPECT_EQ(a.sh_evaluated, b.sh_evaluated);
-    EXPECT_EQ(a.sh_skipped, b.sh_skipped);
-    EXPECT_EQ(a.rendered_gaussians, b.rendered_gaussians);
-    EXPECT_EQ(a.skipped_by_termination, b.skipped_by_termination);
-    EXPECT_EQ(a.groups, b.groups);
-    EXPECT_EQ(a.groups_processed, b.groups_processed);
-    EXPECT_EQ(a.stage2_invocations, b.stage2_invocations);
-    EXPECT_EQ(a.survivor_invocations, b.survivor_invocations);
-    EXPECT_EQ(a.sh_eval_invocations, b.sh_eval_invocations);
-    EXPECT_EQ(a.sh_skip_invocations, b.sh_skip_invocations);
-    EXPECT_EQ(a.termination_skip_invocations,
-              b.termination_skip_invocations);
-    EXPECT_EQ(a.bin_records, b.bin_records);
-    EXPECT_EQ(a.alpha_evals, b.alpha_evals);
-    EXPECT_EQ(a.blend_ops, b.blend_ops);
-    EXPECT_EQ(a.visited_blocks, b.visited_blocks);
-    EXPECT_EQ(a.influence_pixels, b.influence_pixels);
-
-    ASSERT_EQ(a.group_trace.size(), b.group_trace.size());
-    for (std::size_t i = 0; i < a.group_trace.size(); ++i) {
-        const GroupActivity &ga = a.group_trace[i];
-        const GroupActivity &gb = b.group_trace[i];
-        EXPECT_EQ(ga.members, gb.members) << "group " << i;
-        EXPECT_EQ(ga.projected, gb.projected) << "group " << i;
-        EXPECT_EQ(ga.survivors, gb.survivors) << "group " << i;
-        EXPECT_EQ(ga.sh_evals, gb.sh_evals) << "group " << i;
-        EXPECT_EQ(ga.sh_skipped, gb.sh_skipped) << "group " << i;
-        EXPECT_EQ(ga.terminated, gb.terminated) << "group " << i;
-        EXPECT_EQ(ga.rendered, gb.rendered) << "group " << i;
-        EXPECT_EQ(ga.visited_blocks, gb.visited_blocks) << "group " << i;
-        EXPECT_EQ(ga.active_blocks, gb.active_blocks) << "group " << i;
-        EXPECT_EQ(ga.alpha_evals, gb.alpha_evals) << "group " << i;
-        EXPECT_EQ(ga.blend_ops, gb.blend_ops) << "group " << i;
-        EXPECT_EQ(ga.skipped, gb.skipped) << "group " << i;
-    }
-}
+using test::expectStatsIdentical;
+using test::imagesBitIdentical;
 
 struct GwCase
 {
@@ -213,27 +153,25 @@ TEST(GwEquivalence, EmptySceneMatches)
     expectStatsIdentical(st_ref, st_opt);
 }
 
-TEST(GwEquivalence, FastAlphaMeetsPsnrBoundOnPresetScenes)
+TEST(GwEquivalence, SimdExpMeetsPsnrBoundAgainstStdExp)
 {
-    // --fast-alpha trades bit-exactness for the vectorized polynomial
-    // exp; its accuracy contract is perceptual: >= 55 dB PSNR against
-    // the exact image on every preset scene (full view and Cmode).
+    // Alpha runs on the polynomial simdExp; its accuracy contract is
+    // perceptual: >= 55 dB PSNR against a std::exp render of the same
+    // frame on every preset scene (full view and Cmode).
     for (int subview : {0, 128}) {
         GaussianWiseConfig cfg;
         cfg.subview_size = subview;
-        GaussianWiseConfig fast_cfg = cfg;
-        fast_cfg.fast_alpha = true;
-        GaussianWiseRenderer exact(cfg);
-        GaussianWiseRenderer fast(fast_cfg);
+        GaussianWiseRenderer renderer(cfg);
         for (SceneId id :
              {SceneId::Palace, SceneId::Lego, SceneId::Train}) {
             SceneSpec spec = scenePreset(id);
             GaussianCloud cloud = generateScene(spec, 0.02f);
             Camera cam = makeCamera(spec);
             GaussianWiseStats s1, s2;
-            Image img_exact = exact.render(cloud, cam, s1);
-            Image img_fast = fast.render(cloud, cam, s2);
-            EXPECT_GE(psnr(img_exact, img_fast), 55.0)
+            Image truth = renderer.renderReference(
+                cloud, cam, s1, [](float x) { return std::exp(x); });
+            Image img = renderer.render(cloud, cam, s2);
+            EXPECT_GE(psnr(truth, img), 55.0)
                 << sceneName(id) << " subview " << subview;
         }
     }

@@ -344,7 +344,7 @@ TEST(Simd, SimdExpLaneIdenticalToScalarTranscription)
 
 TEST(Simd, SimdExpAccuracyVsStdExp)
 {
-    // The fast-alpha renderers feed exponents in [-6, 0]; the layer
+    // The renderers' alpha feeds exponents in [-6, 0]; the layer
     // contract covers the whole clamp interval.
     std::mt19937 rng(29);
     std::uniform_real_distribution<float> u(-87.0f, 0.0f);
